@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -430,25 +428,6 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
           }
         }
         improved = improved || moved;
-      }
-    }
-  }
-
-  if (std::getenv("BIRP_HEUR_DEBUG") != nullptr) {
-    for (int k = 0; k < K; ++k) {
-      std::fprintf(stderr, "edge %d: net=%.1f/%.1f cpu=%.2f wts=%.0f peak=%.0f M=%.0f\n",
-                   k, budget[(std::size_t)k].network_mb, cluster.network_mb(k),
-                   budget[(std::size_t)k].compute_s, budget[(std::size_t)k].weights_mb,
-                   budget[(std::size_t)k].peak_mb, cluster.memory_mb(k));
-      for (int i = 0; i < I; ++i) {
-        std::int64_t avail = demand(i, k) - decision.exports(i, k) + decision.imports(i, k);
-        std::int64_t srv = 0;
-        for (int j = 0; j < cluster.zoo().num_variants(i); ++j) srv += decision.served(i, j, k);
-        if (decision.drops(i, k) > 0)
-          std::fprintf(stderr, "  i=%d avail=%lld served=%lld drops=%lld (e=%lld m=%lld r=%lld)\n",
-                       i, (long long)avail, (long long)srv, (long long)decision.drops(i, k),
-                       (long long)decision.exports(i, k), (long long)decision.imports(i, k),
-                       (long long)demand(i, k));
       }
     }
   }

@@ -19,10 +19,10 @@
 // backoff_base_slots == 0 (the default) reproduces the original immediate
 // next-slot re-admission byte for byte and draws nothing from the RNG.
 //
-// Bookkeeping mirrors the simulator's carryover mode: re-admitted cohorts
-// are tracked per attempt level, and when orphans occur at an (app, edge)
-// cell they are attributed to the highest-attempt cohort first (pessimistic —
-// never lets a request exceed the budget). Distribution across survivors is
+// Bookkeeping: re-admitted cohorts are tracked per attempt level, and when
+// orphans occur at an (app, edge) cell they are attributed to the
+// highest-attempt cohort first (pessimistic — never lets a request exceed the
+// budget). Distribution across survivors is
 // deterministic: a round-robin split whose starting edge rotates with
 // (slot + app), so repeated failures do not pile every retry on one edge.
 // An optional avoid mask (from the guard layer's circuit breakers) removes

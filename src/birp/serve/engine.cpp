@@ -1,7 +1,7 @@
 #include "birp/serve/engine.hpp"
 
 #include <algorithm>
-#include <future>
+#include <utility>
 
 #include "birp/serve/batcher.hpp"
 #include "birp/util/alloc_count.hpp"
@@ -16,7 +16,7 @@ ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
       trace_(trace),
       config_(config),
       batcher_(cluster, config.adaptive, config.guard_predictor),
-      pool_(config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads)) {
+      loop_(cluster, config.threads, config.fault_plan, config.failover) {
   util::check(trace.apps() == cluster.num_apps(),
               "ServeEngine: trace apps != cluster apps");
   util::check(trace.devices() == cluster.num_devices(),
@@ -26,8 +26,6 @@ ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
   util::check(config_.queue_capacity >= 0,
               "ServeEngine: negative queue capacity (0 = unbounded)");
   guard::validate(config_.guard);
-  failover_ = fault::FailoverPolicy(config_.failover, cluster.num_apps(),
-                                    cluster.num_devices());
   if (config_.guard.any_enabled()) {
     guard_.emplace(cluster, config_.guard, config_.guard_predictor);
   }
@@ -80,8 +78,7 @@ bool ServeEngine::admission_gate_thunk(const void* ctx, const ServeItem& item,
 
 void ServeEngine::build_edge_inputs(
     const std::vector<workload::Arrival>& arrivals,
-    const sim::SlotDecision& decision,
-    const std::vector<double>& bandwidth_factors) {
+    const sim::SlotDecision& decision) {
   const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();
 
@@ -90,10 +87,6 @@ void ServeEngine::build_edge_inputs(
   // stops allocating once every cell has seen its high-water arrival count.
   auto& cells = cells_scratch_;
   for (auto& list : cells) list.clear();
-  const auto cell = [K](int i, int k) {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(K) +
-           static_cast<std::size_t>(k);
-  };
   for (const auto& a : arrivals) {
     ServeItem item;
     item.app = a.app;
@@ -115,6 +108,16 @@ void ServeEngine::build_edge_inputs(
     input.stream.clear();
     input.planned_drops.clear();
   }
+  // A request routed through a down edge — served or shed in a dark region,
+  // or imported from or into one — is orphaned instead, filed under its
+  // (app, origin) cell for the slot loop's failover.
+  for (auto& items : orphan_scratch_) items.clear();
+  const auto stream_of = [this](int k, const ServeItem& item)
+      -> std::vector<ServeItem>& {
+    return loop_.is_up(k) && loop_.is_up(item.origin)
+               ? inputs_[static_cast<std::size_t>(k)].stream
+               : orphan_scratch_[cell(item.app, item.origin)];
+  };
 
   // Serve-local portions: the earliest arrivals stay home; the repaired
   // decision guarantees serve_local + exports + drops == demand per cell.
@@ -131,8 +134,8 @@ void ServeEngine::build_edge_inputs(
       serve_local = std::clamp<std::int64_t>(
           serve_local, 0, static_cast<std::int64_t>(list.size()));
       for (std::int64_t r = 0; r < serve_local; ++r) {
-        inputs_[static_cast<std::size_t>(k)].stream.push_back(
-            list[static_cast<std::size_t>(r)]);
+        const auto& item = list[static_cast<std::size_t>(r)];
+        stream_of(k, item).push_back(item);
       }
       cursor[cell(i, k)] = static_cast<std::size_t>(serve_local);
     }
@@ -160,18 +163,16 @@ void ServeEngine::build_edge_inputs(
     for (const auto& item : in) {
       total_mb += cluster_.zoo().app(item.app).request_mb;
     }
-    const double bw_factor =
-        bandwidth_factors.empty() ? 1.0
-                                  : bandwidth_factors[static_cast<std::size_t>(k)];
     const double transfer_total_s =
-        total_mb * 8.0 / (cluster_.device(k).bandwidth_mbps * bw_factor);
+        total_mb * 8.0 /
+        (cluster_.device(k).bandwidth_mbps * loop_.bandwidth_factor(k));
     const auto total = static_cast<double>(in.size());
     for (std::size_t q = 0; q < in.size(); ++q) {
       auto& item = in[q];
       item.available_s =
           std::max(item.arrival_s,
                    transfer_total_s * static_cast<double>(q + 1) / total);
-      inputs_[static_cast<std::size_t>(k)].stream.push_back(item);
+      stream_of(k, item).push_back(item);
     }
   }
 
@@ -179,8 +180,11 @@ void ServeEngine::build_edge_inputs(
   for (int i = 0; i < I; ++i) {
     for (int k = 0; k < K; ++k) {
       const auto& list = cells[cell(i, k)];
+      auto& shed = loop_.is_up(k)
+                       ? inputs_[static_cast<std::size_t>(k)].planned_drops
+                       : orphan_scratch_[cell(i, k)];
       for (auto at = cursor[cell(i, k)]; at < list.size(); ++at) {
-        inputs_[static_cast<std::size_t>(k)].planned_drops.push_back(list[at]);
+        shed.push_back(list[at]);
       }
     }
   }
@@ -197,10 +201,10 @@ void ServeEngine::build_edge_inputs(
   }
 }
 
-void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
-                               int slot, const std::vector<ServeItem>& stream,
-                               double straggler_factor) {
+void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision) {
   const double tau = cluster_.tau_s();
+  const auto& stream = inputs_[static_cast<std::size_t>(k)].stream;
+  const double straggler = loop_.straggler_factor(k);
   EdgeShard& shard = shards_[static_cast<std::size_t>(k)];
   EdgeOutcome& outcome = shard.outcome;
   outcome.records.clear();
@@ -214,12 +218,7 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
   // unless a BIRP_COUNT_ALLOCS hook is linked into the binary.
   const std::int64_t allocs_before = util::alloc_counts().allocs;
 
-  // Deterministic per-(slot, edge) noise stream — same recipe as the
-  // simulator, so thread count can never change results.
-  util::Xoshiro256StarStar rng(config_.seed ^
-                               (0x9e3779b97f4a7c15ULL *
-                                (static_cast<std::uint64_t>(slot) * 1024 +
-                                 static_cast<std::uint64_t>(k) + 1)));
+  auto rng = loop_.edge_rng(config_.seed, k);
 
   auto& jobs = shard.jobs;
   jobs.clear();
@@ -346,7 +345,7 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
               : 1.0;
       // Straggler faults stretch the launch; visible downstream as longer
       // busy time and a depressed observed TIR.
-      const double duration_s = clean_s * noise * straggler_factor;
+      const double duration_s = clean_s * noise * straggler;
       const double completion_s = seal.start_s + duration_s;
       // The accelerator is serial: the next launch on this edge cannot start
       // before this one completes (batcher.hpp's cursor contract; the slot
@@ -393,40 +392,23 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
     }
   }
 
-  // Backpressure drops.
+  // Backpressure drops, then deadline-aware admission sheds.
   for (const auto& item : queue.dropped()) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kQueueDrop;
-    record.served_on = k;
-    outcome.records.push_back(record);
+    outcome.records.push_back({item, Outcome::kQueueDrop, k});
   }
-  // Deadline-aware admission sheds.
   for (const auto& item : queue.deadline_shed()) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kDeadlineShed;
-    record.served_on = k;
-    outcome.records.push_back(record);
+    outcome.records.push_back({item, Outcome::kDeadlineShed, k});
   }
   // Stranded requests (stream larger than the decision's serve counts —
   // only possible on a malformed repair): shed like planned drops so every
   // arrival is accounted exactly once.
   queue.drain_waiting_into(shard.members);
   for (const auto& item : shard.members) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kPlannedDrop;
-    record.served_on = k;
-    outcome.records.push_back(record);
+    outcome.records.push_back({item, Outcome::kPlannedDrop, k});
   }
   queue.drain_unprocessed_into(shard.members);
   for (const auto& item : shard.members) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kPlannedDrop;
-    record.served_on = k;
-    outcome.records.push_back(record);
+    outcome.records.push_back({item, Outcome::kPlannedDrop, k});
   }
   outcome.depth_stats = queue.depth_stats();
   outcome.hot_allocs = util::alloc_counts().allocs - allocs_before;
@@ -434,141 +416,42 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
 
 SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
                                   metrics::RunMetrics* metrics) {
-  util::check(slot_ < trace_.slots(), "ServeEngine: horizon exhausted");
-  const int t = slot_;
+  util::check(loop_.slot() < trace_.slots(), "ServeEngine: horizon exhausted");
+  const int t = loop_.slot();
+  const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();
   const double tau = cluster_.tau_s();
 
-  const int I = cluster_.num_apps();
   auto arrivals = workload::slot_arrivals(trace_, t, tau, config_.seed);
-
-  // Resolve this slot's fault picture. With an empty plan every branch below
-  // degenerates to the fault-free path.
-  const bool have_faults = !config_.fault_plan.empty();
-  const std::vector<std::uint8_t> up =
-      have_faults ? config_.fault_plan.up_mask(K, t)
-                  : std::vector<std::uint8_t>(static_cast<std::size_t>(K), 1);
-  const auto is_up = [&up](int k) {
-    return up[static_cast<std::size_t>(k)] != 0;
-  };
-
   // Demand is derived from the arrivals (not read from the trace) so the
   // scheduler sees exactly what the request stream contains.
-  sim::SlotState state;
-  state.slot = t;
-  state.demand =
-      util::Grid2<std::int64_t>(cluster_.num_apps(), K, 0);
-  for (const auto& a : arrivals) ++state.demand(a.app, a.device);
+  util::Grid2<std::int64_t> demand(I, K, 0);
+  for (const auto& a : arrivals) ++demand(a.app, a.device);
 
   // Overload protection: hints derived from earlier slots' outcomes steer
   // this slot's decision (breaker avoid mask, ladder variant caps) and the
   // failover re-admission targets.
-  const sim::SchedulerHints* hints = nullptr;
-  if (guard_.has_value()) {
-    hints = &guard_->begin_slot(t);
-    state.hints = hints;
+  const sim::SchedulerHints* hints =
+      guard_.has_value() ? &guard_->begin_slot(t) : nullptr;
+
+  if (const auto* readmit = loop_.open(std::move(demand), hints)) {
+    // Re-admitted orphans enter as synthetic arrivals: available at the slot
+    // start (they have been waiting since their failure), with fresh
+    // sequence numbers after the cell's real arrivals.
+    for (int i = 0; i < I; ++i) {
+      for (int k = 0; k < K; ++k) {
+        const std::int64_t count = (*readmit)(i, k);
+        const std::int64_t first = loop_.state().demand(i, k) - count;
+        for (std::int64_t r = 0; r < count; ++r) {
+          arrivals.push_back({t, i, k, first + r, 0.0});
+        }
+      }
+    }
   }
 
   SlotServeResult result;
-  if (have_faults) {
-    state.edge_up = up;
-    if (failover_.enabled()) {
-      // Orphans whose backoff window elapsed re-enter as synthetic arrivals
-      // at surviving edges (routed around breaker-open pairs): available at
-      // the slot start (they have been waiting since their failure), with
-      // fresh sequence numbers after the cell's real arrivals.
-      const auto& readmit = failover_.begin_slot(
-          t, up, hints != nullptr ? &hints->avoid_import : nullptr);
-      for (int i = 0; i < I; ++i) {
-        for (int k = 0; k < K; ++k) {
-          const std::int64_t count = readmit(i, k);
-          if (count == 0) continue;
-          for (std::int64_t r = 0; r < count; ++r) {
-            workload::Arrival a;
-            a.slot = t;
-            a.app = i;
-            a.device = k;
-            a.seq = state.demand(i, k) + r;
-            a.offset_s = 0.0;
-            arrivals.push_back(a);
-          }
-          state.demand(i, k) += count;
-        }
-      }
-    }
-  }
-  state.previous = previous_.has_value() ? &previous_.value() : nullptr;
-
-  result.decision = scheduler.decide(state);
-  result.repairs = sim::validate_and_repair(cluster_, state.demand,
-                                            state.previous, result.decision);
-
-  std::vector<double> bandwidth_factors;
-  if (have_faults) {
-    bandwidth_factors.resize(static_cast<std::size_t>(K), 1.0);
-    for (int k = 0; k < K; ++k) {
-      bandwidth_factors[static_cast<std::size_t>(k)] =
-          config_.fault_plan.bandwidth_factor(k, t);
-    }
-  }
-  build_edge_inputs(arrivals, result.decision, bandwidth_factors);
-
-  // Orphans: a down edge loses its whole stream (nothing executes there) and
-  // its region's planned drops (the region is dark, not shed); a live edge
-  // loses the imports whose origin died (lost in transit). Attribution is by
-  // origin cell, which is also where failover injects retries.
-  auto& orphan_items = orphan_scratch_;
-  if (have_faults) {
-    for (auto& items : orphan_items) items.clear();
-    const auto cell = [K](int i, int k) {
-      return static_cast<std::size_t>(i) * static_cast<std::size_t>(K) +
-             static_cast<std::size_t>(k);
-    };
-    for (int k = 0; k < K; ++k) {
-      auto& input = inputs_[static_cast<std::size_t>(k)];
-      if (!is_up(k)) {
-        for (const auto& item : input.stream) {
-          orphan_items[cell(item.app, item.origin)].push_back(item);
-        }
-        input.stream.clear();
-        for (const auto& item : input.planned_drops) {
-          orphan_items[cell(item.app, item.origin)].push_back(item);
-        }
-        input.planned_drops.clear();
-        continue;
-      }
-      // Live edge: strip imports from dead origins out of the stream.
-      auto dead_origin = [&](const ServeItem& item) {
-        return !is_up(item.origin);
-      };
-      auto it = std::stable_partition(
-          input.stream.begin(), input.stream.end(),
-          [&](const ServeItem& item) { return !dead_origin(item); });
-      for (auto lost = it; lost != input.stream.end(); ++lost) {
-        orphan_items[cell(lost->app, lost->origin)].push_back(*lost);
-      }
-      input.stream.erase(it, input.stream.end());
-    }
-  }
-
-  // Execute the live edges concurrently, each into its own shard; outcomes
-  // merge deterministically below. Down edges execute nothing this slot.
-  // inputs_ is not touched again until every future has completed.
-  std::vector<std::future<void>> futures(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    if (!is_up(k)) continue;
-    const double straggler =
-        have_faults ? config_.fault_plan.straggler_factor(k, t) : 1.0;
-    futures[static_cast<std::size_t>(k)] =
-        pool_.submit([this, k, t, &result, straggler] {
-          execute_edge(k, result.decision, t,
-                       inputs_[static_cast<std::size_t>(k)].stream, straggler);
-        });
-  }
-
-  result.feedback.slot = t;
-  result.feedback.busy_s.resize(static_cast<std::size_t>(K), 0.0);
-  double slot_loss = 0.0;
+  loop_.decide(scheduler, result);
+  build_edge_inputs(arrivals, result.decision);
 
   // Serving-path outcome tallies feeding the guard's breakers and ladder.
   util::Grid2<guard::GuardController::CellStats> guard_cells;
@@ -580,29 +463,25 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
     app_shed.assign(static_cast<std::size_t>(I), 0);
     for (int i = 0; i < I; ++i) {
       for (int k = 0; k < K; ++k) {
-        app_demand[static_cast<std::size_t>(i)] += state.demand(i, k);
+        app_demand[static_cast<std::size_t>(i)] += loop_.state().demand(i, k);
       }
     }
   }
-  for (int k = 0; k < K; ++k) {
-    if (have_faults && metrics != nullptr) {
-      metrics->record_edge_slot(k, is_up(k));
-    }
-    if (!is_up(k)) continue;  // dead edge: zero busy, no energy, no samples
-    futures[static_cast<std::size_t>(k)].get();
+
+  // Execute the live edges concurrently, each into its own shard; outcomes
+  // merge deterministically in edge order.
+  loop_.execute_edges(result, metrics, [&](int k) {
+    execute_edge(k, result.decision);
+  }, [&](int k) -> const EdgeOutcome& {
     const EdgeOutcome& outcome = shards_[static_cast<std::size_t>(k)].outcome;
     result.hot_allocs += outcome.hot_allocs;
-    result.feedback.busy_s[static_cast<std::size_t>(k)] = outcome.busy_s;
-    result.feedback.observations.insert(result.feedback.observations.end(),
-                                        outcome.observations.begin(),
-                                        outcome.observations.end());
     for (std::size_t r = 0; r < outcome.seals.size(); ++r) {
       result.seals[r] += outcome.seals[r];
       if (metrics != nullptr && outcome.seals[r] > 0) {
         metrics->record_batch_seals(static_cast<int>(r), outcome.seals[r]);
       }
     }
-    slot_loss += outcome.loss;
+    result.slot_loss += outcome.loss;
     for (const auto& record : outcome.records) {
       switch (record.outcome) {
         case Outcome::kServed:
@@ -619,26 +498,24 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
           break;
         case Outcome::kQueueDrop:
           ++result.queue_drops;
-          ++result.slo_failures;
-          slot_loss += cluster_.zoo().worst_loss(record.item.app);
           if (metrics != nullptr) metrics->record_queue_drop();
           break;
         case Outcome::kPlannedDrop:
           ++result.planned_drops;
-          ++result.slo_failures;
-          slot_loss += cluster_.zoo().worst_loss(record.item.app);
           if (metrics != nullptr) metrics->record_dropped();
           break;
         case Outcome::kDeadlineShed:
           ++result.deadline_sheds;
-          ++result.slo_failures;
-          slot_loss += cluster_.zoo().worst_loss(record.item.app);
           if (metrics != nullptr) metrics->record_deadline_shed();
           break;
         case Outcome::kOrphaned:
-          // Orphans are resolved below from orphan_items, never inside
+          // Orphans are resolved below by the slot loop, never inside
           // execute_edge.
           break;
+      }
+      if (record.outcome != Outcome::kServed) {  // a drop of any kind
+        ++result.slo_failures;
+        result.slot_loss += cluster_.zoo().worst_loss(record.item.app);
       }
       // Breaker food: serving-path verdicts only (served / backpressure /
       // deadline shed). Planned drops are the scheduler's doing, not the
@@ -656,70 +533,51 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
         }
       }
     }
-    if (metrics != nullptr) {
-      metrics->record_edge_busy(outcome.busy_s / tau);
-      metrics->record_energy(
-          cluster_.device(k).slot_energy_j(outcome.busy_s, tau));
-      metrics->merge_queue_depth(outcome.depth_stats);
-    }
+    if (metrics != nullptr) metrics->merge_queue_depth(outcome.depth_stats);
     if (config_.keep_records) {
       result.records.insert(result.records.end(), outcome.records.begin(),
                             outcome.records.end());
     }
-  }
+    return outcome;
+  });
 
   // Requests the decision shed at their origin (never routed anywhere).
   for (int k = 0; k < K; ++k) {
     for (const auto& item : inputs_[static_cast<std::size_t>(k)].planned_drops) {
       ++result.planned_drops;
       ++result.slo_failures;
-      slot_loss += cluster_.zoo().worst_loss(item.app);
+      result.slot_loss += cluster_.zoo().worst_loss(item.app);
       if (metrics != nullptr) metrics->record_dropped();
       if (config_.keep_records) {
-        RequestRecord record;
-        record.item = item;
-        record.outcome = Outcome::kPlannedDrop;
-        result.records.push_back(record);
+        result.records.push_back({item, Outcome::kPlannedDrop});
       }
     }
   }
 
-  // Resolve orphans: the failover policy splits each origin cell's losses
-  // into retries (vanish here, reappear as synthetic arrivals next slot) and
-  // terminal drops (worst-model loss + SLO failure). The oldest requests get
-  // the retry slots.
-  if (have_faults) {
-    for (int i = 0; i < I; ++i) {
-      const double worst = cluster_.zoo().worst_loss(i);
-      for (int k = 0; k < K; ++k) {
-        auto& items = orphan_items[static_cast<std::size_t>(i) *
-                                       static_cast<std::size_t>(K) +
-                                   static_cast<std::size_t>(k)];
-        if (items.empty()) continue;
+  // Orphans: the oldest requests of each origin cell get its retry slots
+  // (they vanish here and reappear as synthetic arrivals in a later slot);
+  // the rest are terminal drops.
+  loop_.resolve_orphans(
+      result, metrics,
+      [&](int i, int k, const sim::SlotLoop::Orphans& outcome) {
+        auto& items = orphan_scratch_[cell(i, k)];
+        util::check(static_cast<std::int64_t>(items.size()) ==
+                        outcome.retried + outcome.dropped,
+                    "ServeEngine: orphans disagree with the decision");
         std::sort(items.begin(), items.end(),
                   [](const ServeItem& a, const ServeItem& b) {
                     return a.seq < b.seq;
                   });
-        const auto outcome = failover_.on_orphans(
-            i, k, static_cast<std::int64_t>(items.size()));
-        result.retried += outcome.retried;
-        if (metrics != nullptr) metrics->record_retries(outcome.retried);
+        const double worst = cluster_.zoo().worst_loss(i);
         for (std::size_t r = static_cast<std::size_t>(outcome.retried);
              r < items.size(); ++r) {
-          ++result.orphaned;
-          ++result.slo_failures;
-          slot_loss += worst;
-          if (metrics != nullptr) metrics->record_orphan_drop();
+          result.slot_loss += worst;
           if (config_.keep_records) {
-            RequestRecord record;
-            record.item = items[r];
-            record.outcome = Outcome::kOrphaned;
-            result.records.push_back(record);
+            result.records.push_back({items[r], Outcome::kOrphaned});
           }
         }
-      }
-    }
-  }
+      });
+
   // Slot-boundary guard bookkeeping: breakers fold this slot's outcomes
   // into their windows, the ladder reacts to shed pressure and open
   // breakers; transitions land in the metrics.
@@ -732,26 +590,21 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
     }
   }
 
-  result.slot_loss = slot_loss;
-  if (metrics != nullptr) metrics->record_slot_loss(slot_loss);
-
-  scheduler.observe(result.feedback);
-  previous_ = result.decision;
-  ++slot_;
+  loop_.close(scheduler, result, metrics);
   return result;
+}
+
+void ServeEngine::finish(sim::Scheduler& scheduler,
+                         metrics::RunMetrics& metrics) {
+  loop_.finish(scheduler, metrics);
 }
 
 metrics::RunMetrics ServeEngine::run(sim::Scheduler& scheduler, int max_slots) {
   const int horizon = max_slots > 0 ? std::min(max_slots, trace_.slots())
                                     : trace_.slots();
   metrics::RunMetrics metrics(horizon);
-  while (slot_ < horizon) step(scheduler, &metrics);
-  // Flush failover: orphans still awaiting re-admission at the horizon are
-  // terminal losses.
-  for (std::int64_t d = failover_.drain_pending(); d > 0; --d) {
-    metrics.record_orphan_drop();
-  }
-  metrics.set_solver_fallbacks(scheduler.fallback_count());
+  while (loop_.slot() < horizon) step(scheduler, &metrics);
+  finish(scheduler, metrics);
   return metrics;
 }
 

@@ -1,24 +1,24 @@
-// Request-level asynchronous serving engine.
+// Request-level asynchronous serving engine: the request-level backend.
 //
 // Where sim::Simulator scores a slot decision on merged per-slot batches,
-// the ServeEngine replays the trace as timestamped request arrivals inside
-// each slot and follows every request through admission, redistribution,
-// batch assembly, dispatch, and execution:
+// the ServeEngine replays the trace as timestamped request arrivals and
+// follows every request through admission, redistribution, batch assembly,
+// dispatch, and execution. The shared sim::SlotLoop runs faults, failover,
+// decide + validate, per-edge liveness / busy / energy, orphans and
+// feedback; this class keeps what is request-level:
 //
-//   1. expand the slot's trace cells into arrivals (workload::slot_arrivals)
-//      and derive SlotState.demand from them;
-//   2. ask the scheduler for a SlotDecision and validate/repair it exactly
-//      like the simulator — schedulers are reused unchanged;
-//   3. split each cell's arrivals into serve-local / redistribute / shed
-//      streams according to the decision; redistributed requests reach
-//      their serving edge after the wireless transfer schedule;
-//   4. per edge, admit requests chronologically into a bounded admission
-//      queue (drop/backpressure policy), assemble batches of the decided
-//      kernel size with a max-wait timeout for partial batches, and execute
-//      them on the edge's accelerator using ground-truth TIR plus noise;
-//   5. record per-request queueing delay, batch-formation wait, execution
-//      latency, and SLO hit/miss, and feed busy-time + TIR observations
-//      back to the scheduler.
+//   1. expand the slot's trace cells into arrivals (workload::slot_arrivals),
+//      derive the demand from them, and turn re-admissions into arrivals;
+//   2. split each cell's arrivals into serve-local / redistribute / shed
+//      streams per the repaired decision (redistributed requests land after
+//      the wireless transfer schedule) and strip what down edges orphaned;
+//   3. per edge, admit requests chronologically into a bounded admission
+//      queue (backpressure policy, guard deadline shedding), assemble
+//      batches of the decided kernel size with a max-wait timeout for
+//      partial batches, and execute them with ground-truth TIR plus noise;
+//   4. record per-request queueing delay, batch-formation wait, execution
+//      latency, and SLO hit/miss, charge drops and sheds, and feed the
+//      guard's breakers and ladder at the slot boundary.
 //
 // Edges execute concurrently on runtime::ThreadPool. Determinism matches
 // the simulator's standard: all randomness comes from per-(slot, edge)
@@ -52,12 +52,12 @@
 #include "birp/guard/controller.hpp"
 #include "birp/metrics/run_metrics.hpp"
 #include "birp/predictor/latency_predictor.hpp"
-#include "birp/runtime/thread_pool.hpp"
 #include "birp/serve/adaptive.hpp"
 #include "birp/serve/queue.hpp"
 #include "birp/serve/request.hpp"
 #include "birp/sim/decision.hpp"
 #include "birp/sim/scheduler.hpp"
+#include "birp/sim/slot_loop.hpp"
 #include "birp/sim/validate.hpp"
 #include "birp/util/stats.hpp"
 #include "birp/workload/arrivals.hpp"
@@ -90,7 +90,7 @@ struct ServeConfig {
   /// Orphan handling: terminal drops (disabled, default) or re-admission as
   /// fresh arrivals at surviving edges after seeded exponential backoff. A
   /// re-admitted request's sojourn clock restarts at re-admission (its
-  /// deadline is renewed, like the simulator's carryover mode).
+  /// deadline is renewed).
   fault::FailoverConfig failover;
   /// Overload protection (birp/guard): deadline-aware admission, per-edge
   /// circuit breakers, and the graceful-degradation ladder. All-default =
@@ -110,18 +110,10 @@ struct ServeConfig {
 };
 
 /// Outcome of one served slot.
-struct SlotServeResult {
-  sim::SlotDecision decision;  ///< post-repair decision that executed
-  sim::ValidationReport repairs;
-  sim::SlotFeedback feedback;
-  double slot_loss = 0.0;
-  std::int64_t served = 0;
+struct SlotServeResult : sim::SlotOutcome {
   std::int64_t planned_drops = 0;  ///< shed by the decision (worst-model loss)
   std::int64_t queue_drops = 0;    ///< backpressure drops (admission queue)
   std::int64_t deadline_sheds = 0; ///< shed by deadline-aware admission
-  std::int64_t orphaned = 0;       ///< terminal losses to edge failures
-  std::int64_t retried = 0;        ///< orphans re-admitted after backoff
-  std::int64_t slo_failures = 0;
   /// Heap allocations performed inside the per-edge hot path this slot
   /// (thread-local operator-new counts; 0 unless a BIRP_COUNT_ALLOCS hook
   /// is linked). Nonzero only while shards grow toward their high-water
@@ -146,7 +138,12 @@ class ServeEngine {
   SlotServeResult step(sim::Scheduler& scheduler,
                        metrics::RunMetrics* metrics = nullptr);
 
-  [[nodiscard]] int current_slot() const noexcept { return slot_; }
+  /// Flushes terminal state into `metrics`, like sim::Simulator::finish.
+  /// run() calls this at the horizon; harnesses driving step() themselves
+  /// must call it once after the last step for exact request conservation.
+  void finish(sim::Scheduler& scheduler, metrics::RunMetrics& metrics);
+
+  [[nodiscard]] int current_slot() const noexcept { return loop_.slot(); }
   [[nodiscard]] const device::ClusterSpec& cluster() const noexcept {
     return cluster_;
   }
@@ -218,17 +215,21 @@ class ServeEngine {
   static bool admission_gate_thunk(const void* ctx, const ServeItem& item,
                                    std::int64_t buffered_ahead);
 
-  /// Fills inputs_ (reused across slots). `bandwidth_factors` scales each
-  /// edge's wireless bandwidth for the transfer schedule (empty = no
-  /// degradation).
+  /// Fills inputs_ and orphan_scratch_ (reused across slots); bandwidth
+  /// faults stretch each edge's transfer schedule.
   void build_edge_inputs(const std::vector<workload::Arrival>& arrivals,
-                         const sim::SlotDecision& decision,
-                         const std::vector<double>& bandwidth_factors);
+                         const sim::SlotDecision& decision);
 
-  /// Serves one edge's slot into shards_[k].outcome (clearing it first).
-  void execute_edge(int k, const sim::SlotDecision& decision, int slot,
-                    const std::vector<ServeItem>& stream,
-                    double straggler_factor);
+  /// Serves edge k's stream of the open slot into shards_[k].outcome
+  /// (clearing it first).
+  void execute_edge(int k, const sim::SlotDecision& decision);
+
+  /// Index of the (app, origin) cell in the per-cell scratch lists.
+  [[nodiscard]] std::size_t cell(int i, int k) const noexcept {
+    return static_cast<std::size_t>(i) *
+               static_cast<std::size_t>(cluster_.num_devices()) +
+           static_cast<std::size_t>(k);
+  }
 
   const device::ClusterSpec& cluster_;
   const workload::Trace& trace_;
@@ -236,11 +237,7 @@ class ServeEngine {
   /// Batch-assembly rule: delegates to seal_batch when adaptation is
   /// disabled (the default), so that path stays byte-identical.
   AdaptiveBatcher batcher_;
-  runtime::ThreadPool pool_;
-  int slot_ = 0;
-  std::optional<sim::SlotDecision> previous_;
-  /// Re-admission of requests orphaned by edge failures.
-  fault::FailoverPolicy failover_;
+  sim::SlotLoop loop_;
   /// Overload protection; engaged only when a guard feature is enabled, so
   /// the default path stays byte-identical to the guard-free engine.
   std::optional<guard::GuardController> guard_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
+#include <utility>
 
 #include "birp/util/check.hpp"
 #include "birp/util/rng.hpp"
@@ -27,29 +27,32 @@ Simulator::Simulator(const device::ClusterSpec& cluster,
     : cluster_(cluster),
       trace_(trace),
       config_(config),
-      pool_(config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads)) {
+      loop_(cluster, config.threads, config.fault_plan, config.failover) {
   util::check(trace.apps() == cluster.num_apps(),
               "Simulator: trace apps != cluster apps");
   util::check(trace.devices() == cluster.num_devices(),
               "Simulator: trace devices != cluster devices");
   util::check(config_.noise_sigma >= 0.0, "Simulator: negative noise");
-  carried_ = util::Grid2<std::int64_t>(cluster.num_apps(),
-                                       cluster.num_devices(), 0);
-  failover_ = fault::FailoverPolicy(config_.failover, cluster.num_apps(),
-                                    cluster.num_devices());
 }
 
 Simulator::EdgeOutcome Simulator::execute_edge(
-    int k, const SlotDecision& decision, int slot,
-    const EdgeFaultEffects& faults) const {
+    int k, const SlotDecision& decision) const {
   const double tau = cluster_.tau_s();
+  const double straggler = loop_.straggler_factor(k);
   EdgeOutcome outcome;
 
-  // Deterministic per-(slot, edge) noise stream.
-  util::Xoshiro256StarStar rng(config_.seed ^
-                               (0x9e3779b97f4a7c15ULL *
-                                (static_cast<std::uint64_t>(slot) * 1024 +
-                                 static_cast<std::uint64_t>(k) + 1)));
+  auto rng = loop_.edge_rng(config_.seed, k);
+
+  // Imports whose origin edge is down this slot never arrive: they fill no
+  // batch slots and are billed no transfer time (the slot loop orphans
+  // them).
+  std::vector<std::int64_t> lost(
+      static_cast<std::size_t>(cluster_.num_apps()), 0);
+  for (const Flow& flow : decision.flows) {
+    if (flow.to == k && !loop_.is_up(flow.from)) {
+      lost[static_cast<std::size_t>(flow.app)] += flow.count;
+    }
+  }
 
   // Collect jobs. Imports are attributed per app, then spread over that
   // app's jobs (largest kernel last so padded batches absorb stragglers).
@@ -61,14 +64,8 @@ Simulator::EdgeOutcome Simulator::execute_edge(
   double total_import_mb = 0.0;
   std::int64_t total_imports = 0;
   for (int i = 0; i < cluster_.num_apps(); ++i) {
-    // Imports whose origin edge died this slot never arrive: they fill no
-    // batch slots and are billed no transfer time (orphan accounting happens
-    // in step()).
-    const std::int64_t lost =
-        faults.lost_imports.empty()
-            ? 0
-            : faults.lost_imports[static_cast<std::size_t>(i)];
-    imports_left[static_cast<std::size_t>(i)] = decision.imports(i, k) - lost;
+    imports_left[static_cast<std::size_t>(i)] =
+        decision.imports(i, k) - lost[static_cast<std::size_t>(i)];
     total_imports += imports_left[static_cast<std::size_t>(i)];
     import_bytes_mb[static_cast<std::size_t>(i)] =
         cluster_.zoo().app(i).request_mb;
@@ -90,14 +87,11 @@ Simulator::EdgeOutcome Simulator::execute_edge(
   // Lost imports shrink the jobs that would have hosted them (same reverse
   // order as import attribution below, so exactly the import-backed batch
   // slots go away).
-  if (!faults.lost_imports.empty()) {
-    auto lost = faults.lost_imports;
-    for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
-      auto& left = lost[static_cast<std::size_t>(it->app)];
-      const auto take = std::min(left, it->served);
-      it->served -= take;
-      left -= take;
-    }
+  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
+    auto& left = lost[static_cast<std::size_t>(it->app)];
+    const auto take = std::min(left, it->served);
+    it->served -= take;
+    left -= take;
   }
 
   // Attribute imported requests to jobs (later jobs of the same app first so
@@ -113,7 +107,7 @@ Simulator::EdgeOutcome Simulator::execute_edge(
   // link back-to-back; request q of Q arrives at (q/Q) * total transfer time.
   // Bandwidth-degradation faults stretch the schedule.
   const double bw_mbps =
-      cluster_.device(k).bandwidth_mbps * faults.bandwidth_factor;
+      cluster_.device(k).bandwidth_mbps * loop_.bandwidth_factor(k);
   const double transfer_total_s = total_import_mb * 8.0 / bw_mbps;
 
   // Deterministic execution order.
@@ -157,7 +151,7 @@ Simulator::EdgeOutcome Simulator::execute_edge(
               : 1.0;
       // Straggler faults stretch every launch; the slowdown is visible to the
       // scheduler through longer busy time and a depressed observed TIR.
-      const double duration_s = clean_s * noise * faults.straggler_factor;
+      const double duration_s = clean_s * noise * straggler;
 
       const double start_s = std::max(cursor_s, ready_s);
       cursor_s = start_s + duration_s;
@@ -200,92 +194,27 @@ Simulator::EdgeOutcome Simulator::execute_edge(
 }
 
 SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
-  util::check(slot_ < trace_.slots(), "Simulator: horizon exhausted");
-  const int t = slot_;
+  util::check(loop_.slot() < trace_.slots(), "Simulator: horizon exhausted");
   const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();
 
-  // Resolve this slot's fault picture. With an empty plan every branch below
-  // degenerates to the fault-free path (all edges up, unit factors).
-  const bool have_faults = !config_.fault_plan.empty();
-  const std::vector<std::uint8_t> up =
-      have_faults ? config_.fault_plan.up_mask(K, t)
-                  : std::vector<std::uint8_t>(static_cast<std::size_t>(K), 1);
-  const auto is_up = [&up](int k) {
-    return up[static_cast<std::size_t>(k)] != 0;
-  };
-
-  SlotState state;
-  state.slot = t;
-  state.demand = util::Grid2<std::int64_t>(I, K, 0);
+  util::Grid2<std::int64_t> demand(I, K, 0);
   for (int i = 0; i < I; ++i) {
-    for (int k = 0; k < K; ++k) {
-      // Carryover mode: requests deferred from the previous slot retry here.
-      state.demand(i, k) = trace_.at(t, i, k) + carried_(i, k);
-    }
+    for (int k = 0; k < K; ++k) demand(i, k) = trace_.at(loop_.slot(), i, k);
   }
-  if (have_faults) {
-    // Heartbeat view: schedulers learn the liveness mask at the slot
-    // boundary. Fault-free runs keep edge_up empty (all up).
-    state.edge_up = up;
-    if (failover_.enabled()) {
-      // Orphans queued by earlier failures re-enter demand at survivors.
-      const auto& readmit = failover_.begin_slot(t, up);
-      for (int i = 0; i < I; ++i) {
-        for (int k = 0; k < K; ++k) state.demand(i, k) += readmit(i, k);
-      }
-    }
-  }
-  state.previous = previous_.has_value() ? &previous_.value() : nullptr;
+  loop_.open(std::move(demand));
 
   SlotResult result;
-  result.decision = scheduler.decide(state);
-  result.repairs = validate_and_repair(cluster_, state.demand,
-                                       state.previous, result.decision);
-
-  // Per-edge fault effects: factors plus imports lost to dead origins.
-  std::vector<EdgeFaultEffects> effects(static_cast<std::size_t>(K));
-  if (have_faults) {
-    for (int k = 0; k < K; ++k) {
-      auto& e = effects[static_cast<std::size_t>(k)];
-      e.bandwidth_factor = config_.fault_plan.bandwidth_factor(k, t);
-      e.straggler_factor = config_.fault_plan.straggler_factor(k, t);
-    }
-    for (const Flow& flow : result.decision.flows) {
-      if (!is_up(flow.from) && is_up(flow.to)) {
-        auto& lost = effects[static_cast<std::size_t>(flow.to)].lost_imports;
-        if (lost.empty()) lost.assign(static_cast<std::size_t>(I), 0);
-        lost[static_cast<std::size_t>(flow.app)] += flow.count;
-      }
-    }
-  }
+  loop_.decide(scheduler, result);
 
   // Execute the live edges concurrently; outcomes merge deterministically
-  // below. Down edges execute nothing this slot.
-  std::vector<std::future<EdgeOutcome>> futures(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    if (!is_up(k)) continue;
-    futures[static_cast<std::size_t>(k)] = pool_.submit([this, k, t, &result,
-                                                         &effects] {
-      return execute_edge(k, result.decision, t,
-                          effects[static_cast<std::size_t>(k)]);
-    });
-  }
-
-  result.feedback.slot = t;
-  result.feedback.busy_s.resize(static_cast<std::size_t>(K), 0.0);
-  double slot_loss = 0.0;
-  for (int k = 0; k < K; ++k) {
-    if (have_faults && metrics != nullptr) {
-      metrics->record_edge_slot(k, is_up(k));
-    }
-    if (!is_up(k)) continue;  // dead edge: zero busy, no energy, no samples
-    EdgeOutcome outcome = futures[static_cast<std::size_t>(k)].get();
-    result.feedback.busy_s[static_cast<std::size_t>(k)] = outcome.busy_s;
-    result.feedback.observations.insert(result.feedback.observations.end(),
-                                        outcome.observations.begin(),
-                                        outcome.observations.end());
-    slot_loss += outcome.loss;
+  // in edge order.
+  std::vector<EdgeOutcome> outcomes(static_cast<std::size_t>(K));
+  loop_.execute_edges(result, metrics, [&](int k) {
+    outcomes[static_cast<std::size_t>(k)] = execute_edge(k, result.decision);
+  }, [&](int k) -> const EdgeOutcome& {
+    const EdgeOutcome& outcome = outcomes[static_cast<std::size_t>(k)];
+    result.slot_loss += outcome.loss;
     for (std::size_t r = 0; r < outcome.completions_tau.size(); ++r) {
       if (metrics != nullptr) {
         metrics->record_request(outcome.completions_tau[r],
@@ -294,73 +223,25 @@ SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
       result.slo_failures += outcome.met_slo[r] ? 0 : 1;
       ++result.served;
     }
-    if (metrics != nullptr) {
-      metrics->record_edge_busy(outcome.busy_s / cluster_.tau_s());
-      metrics->record_energy(
-          cluster_.device(k).slot_energy_j(outcome.busy_s, cluster_.tau_s()));
-    }
-  }
+    return outcome;
+  });
 
-  // Orphans: everything in a dead edge's region this slot (local serving,
-  // exports, planned drops — the radio is down, nothing gets in or out) plus
-  // requests a live edge shipped toward a dead one (lost in transit,
-  // attributed to their origin so failover's retry-budget bookkeeping stays
-  // pessimistic). The failover policy splits them into retries and terminal
-  // drops.
-  if (have_faults) {
-    util::Grid2<std::int64_t> orphans(I, K, 0);
-    for (int i = 0; i < I; ++i) {
-      for (int k = 0; k < K; ++k) {
-        if (!is_up(k)) orphans(i, k) = state.demand(i, k);
-      }
-    }
-    for (const Flow& flow : result.decision.flows) {
-      if (is_up(flow.from) && !is_up(flow.to)) {
-        orphans(flow.app, flow.from) += flow.count;
-      }
-    }
-    for (int i = 0; i < I; ++i) {
-      const double worst = cluster_.zoo().worst_loss(i);
-      for (int k = 0; k < K; ++k) {
-        if (orphans(i, k) == 0) continue;
-        const auto outcome = failover_.on_orphans(i, k, orphans(i, k));
-        result.retried += outcome.retried;
-        result.orphaned += outcome.dropped;
-        result.slo_failures += outcome.dropped;
-        slot_loss += worst * static_cast<double>(outcome.dropped);
-        if (metrics != nullptr) {
-          metrics->record_retries(outcome.retried);
-          for (std::int64_t d = 0; d < outcome.dropped; ++d) {
-            metrics->record_orphan_drop();
-          }
-        }
-        // Carryover mode: a dead edge's deferred requests are orphans now,
-        // not carryover candidates.
-        if (!is_up(k)) carried_(i, k) = 0;
-      }
-    }
-  }
+  loop_.resolve_orphans(
+      result, metrics, [&](int i, int, const SlotLoop::Orphans& outcome) {
+        result.slot_loss += cluster_.zoo().worst_loss(i) *
+                            static_cast<double>(outcome.dropped);
+      });
 
   // Dropped requests. Paper semantics: every unserved request fails this
-  // slot (worst-model loss, SLO failure). Carryover mode (retry-once
-  // extension): fresh unserved requests defer to the next slot with a
-  // renewed deadline; requests already deferred once fail for good. Down
-  // edges are excluded: their whole demand was already orphaned above.
+  // slot (worst-model loss, SLO failure). Down edges are excluded: their
+  // whole demand was already orphaned above.
   for (int i = 0; i < I; ++i) {
     const double worst = cluster_.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
-      if (!is_up(k)) continue;
-      const auto dropped = result.decision.drops(i, k);
-      std::int64_t failed = dropped;
-      if (config_.carryover_unserved) {
-        // Pessimistic FIFO: drops consume the aged (already-deferred)
-        // requests first; only the fresh remainder gets a retry.
-        const auto aged = std::min(dropped, carried_(i, k));
-        failed = aged;
-        carried_(i, k) = dropped - aged;
-      }
+      if (!loop_.is_up(k)) continue;
+      const auto failed = result.decision.drops(i, k);
       if (failed <= 0) continue;
-      slot_loss += worst * static_cast<double>(failed);
+      result.slot_loss += worst * static_cast<double>(failed);
       result.dropped += failed;
       result.slo_failures += failed;
       if (metrics != nullptr) {
@@ -368,43 +249,19 @@ SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
       }
     }
   }
-  result.slot_loss = slot_loss;
-  if (metrics != nullptr) metrics->record_slot_loss(slot_loss);
-
-  // Busy-time feedback always flows (capacity learning); only the TIR
-  // observations are gated by report_observations (set inside execute_edge).
-  scheduler.observe(result.feedback);
-
-  previous_ = result.decision;
-  ++slot_;
+  loop_.close(scheduler, result, metrics);
   return result;
 }
 
 void Simulator::finish(Scheduler& scheduler, metrics::RunMetrics& metrics) {
-  if (config_.carryover_unserved) {
-    // Flush: requests still deferred at the horizon never get their retry.
-    for (int i = 0; i < cluster_.num_apps(); ++i) {
-      for (int k = 0; k < cluster_.num_devices(); ++k) {
-        for (std::int64_t d = 0; d < carried_(i, k); ++d) {
-          metrics.record_dropped();
-        }
-        carried_(i, k) = 0;
-      }
-    }
-  }
-  // Flush failover: orphans still awaiting re-admission at the horizon are
-  // terminal losses.
-  for (std::int64_t d = failover_.drain_pending(); d > 0; --d) {
-    metrics.record_orphan_drop();
-  }
-  metrics.set_solver_fallbacks(scheduler.fallback_count());
+  loop_.finish(scheduler, metrics);
 }
 
 metrics::RunMetrics Simulator::run(Scheduler& scheduler, int max_slots) {
   const int horizon = max_slots > 0 ? std::min(max_slots, trace_.slots())
                                     : trace_.slots();
   metrics::RunMetrics metrics(horizon);
-  while (slot_ < horizon) step(scheduler, &metrics);
+  while (loop_.slot() < horizon) step(scheduler, &metrics);
   finish(scheduler, metrics);
   return metrics;
 }

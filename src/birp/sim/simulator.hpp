@@ -1,25 +1,27 @@
-// Time-slotted edge-collaboration simulator.
+// Time-slotted edge-collaboration simulator: the slot-level backend.
 //
-// Per slot: read demand from the trace, ask the scheduler for a decision,
-// validate/repair it, execute every edge's batch jobs concurrently (one
-// worker per edge on the thread pool), and feed TIR observations back to the
-// scheduler. Execution uses ground-truth TIR curves with multiplicative
-// lognormal noise — the stand-in for real accelerator nondeterminism.
+// Each slot runs through the shared SlotLoop (slot_loop.hpp): demand comes
+// from the trace, the loop resolves faults and failover, decides and
+// validates, and this class executes every live edge's batch jobs
+// concurrently (one worker per edge on the thread pool) and charges the
+// decision's drops. Execution uses ground-truth TIR curves with
+// multiplicative lognormal noise — the stand-in for real accelerator
+// nondeterminism.
 //
 // Determinism: all noise derives from per-(slot, edge) forked RNG streams,
 // so results are bit-identical regardless of thread count.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "birp/device/cluster.hpp"
 #include "birp/fault/failover.hpp"
 #include "birp/fault/fault_plan.hpp"
 #include "birp/metrics/run_metrics.hpp"
-#include "birp/runtime/thread_pool.hpp"
 #include "birp/sim/decision.hpp"
 #include "birp/sim/scheduler.hpp"
+#include "birp/sim/slot_loop.hpp"
 #include "birp/sim/validate.hpp"
 #include "birp/workload/trace.hpp"
 
@@ -35,11 +37,6 @@ struct SimulatorConfig {
   /// When false the per-batch TIR observations are not reported (isolates
   /// the value of feedback in ablations).
   bool report_observations = true;
-  /// Carryover mode (extension beyond the paper's slot-decoupled model):
-  /// requests a slot could not serve re-enter the next slot's demand once
-  /// instead of failing immediately. A request that cannot be served in its
-  /// second slot fails for good. Default off (paper semantics).
-  bool carryover_unserved = false;
   /// Fault injection (extension beyond the paper's always-up cluster): timed
   /// edge outages, bandwidth degradation, and straggler episodes. An empty
   /// plan leaves every code path bit-identical to the fault-free simulator.
@@ -50,16 +47,8 @@ struct SimulatorConfig {
 };
 
 /// Outcome of one slot, exposed for tests and fine-grained experiments.
-struct SlotResult {
-  SlotDecision decision;           ///< post-repair decision that executed
-  ValidationReport repairs;
-  SlotFeedback feedback;
-  double slot_loss = 0.0;
-  std::int64_t slo_failures = 0;
-  std::int64_t served = 0;
-  std::int64_t dropped = 0;          ///< scheduler drops charged this slot
-  std::int64_t orphaned = 0;         ///< terminal losses to edge failures
-  std::int64_t retried = 0;          ///< orphans re-admitted for next slot
+struct SlotResult : SlotOutcome {
+  std::int64_t dropped = 0;  ///< scheduler drops charged this slot
 };
 
 class Simulator {
@@ -75,15 +64,15 @@ class Simulator {
   /// (previous-decision tracking). Used by tests and the ablations.
   SlotResult step(Scheduler& scheduler, metrics::RunMetrics* metrics = nullptr);
 
-  /// Flushes terminal state into `metrics`: carryover requests that never got
-  /// their retry, failover orphans still awaiting re-admission (both terminal
-  /// drops), and the scheduler's fallback count. run() calls this at the
-  /// horizon; harnesses driving step() themselves must call it once after the
-  /// last step for exact request conservation.
+  /// Flushes terminal state into `metrics` (SlotLoop::finish): failover
+  /// orphans still awaiting re-admission become terminal drops, and the
+  /// scheduler's fallback count is recorded. run() calls this at the horizon;
+  /// harnesses driving step() themselves must call it once after the last
+  /// step for exact request conservation.
   void finish(Scheduler& scheduler, metrics::RunMetrics& metrics);
 
   /// Slots executed so far.
-  [[nodiscard]] int current_slot() const noexcept { return slot_; }
+  [[nodiscard]] int current_slot() const noexcept { return loop_.slot(); }
 
   [[nodiscard]] const device::ClusterSpec& cluster() const noexcept {
     return cluster_;
@@ -99,32 +88,14 @@ class Simulator {
     double loss = 0.0;
   };
 
-  /// Per-edge fault effects for one slot, resolved from the FaultPlan before
-  /// execution. Defaults describe a healthy edge.
-  struct EdgeFaultEffects {
-    double bandwidth_factor = 1.0;
-    double straggler_factor = 1.0;
-    /// Imports into this edge whose origin edge is down this slot (per app):
-    /// they never arrive, so the batch slots they were meant to fill stay
-    /// empty and no transfer time is billed for them. Empty = none.
-    std::vector<std::int64_t> lost_imports;
-  };
-
-  [[nodiscard]] EdgeOutcome execute_edge(int k, const SlotDecision& decision,
-                                         int slot,
-                                         const EdgeFaultEffects& faults) const;
+  /// Executes edge k's share of the open slot's decision.
+  [[nodiscard]] EdgeOutcome execute_edge(int k,
+                                         const SlotDecision& decision) const;
 
   const device::ClusterSpec& cluster_;
   const workload::Trace& trace_;
   SimulatorConfig config_;
-  runtime::ThreadPool pool_;
-  int slot_ = 0;
-  std::optional<SlotDecision> previous_;
-  /// Requests deferred from the previous slot (carryover mode): these fail
-  /// for good if unserved again.
-  util::Grid2<std::int64_t> carried_;
-  /// Re-admission of requests orphaned by edge failures.
-  fault::FailoverPolicy failover_;
+  SlotLoop loop_;
 };
 
 }  // namespace birp::sim

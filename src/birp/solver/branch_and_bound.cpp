@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#ifdef BIRP_LP_TRACE
-#include <cstdio>
-#endif
 #include <future>
 #include <limits>
 #include <memory>
@@ -154,10 +151,6 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
       return;
     }
     const double obj = model.objective_value(candidate);
-#ifdef BIRP_LP_TRACE
-    std::fprintf(stderr, "  consider obj=%.17g vs inc=%.17g\n", obj,
-                 incumbent_objective);
-#endif
     if (obj < incumbent_objective) {
       incumbent_objective = obj;
       incumbent.values = candidate;
@@ -292,15 +285,6 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
 
       const int branch_var =
           most_fractional(model, lp.values, options.integrality_tolerance);
-#ifdef BIRP_LP_TRACE
-      std::fprintf(stderr,
-                   "  node id=%lld obj=%.17g branch_var=%d v=%.17g warm=%d\n",
-                   (long long)node->id, lp.objective, branch_var,
-                   branch_var >= 0
-                       ? lp.values[static_cast<std::size_t>(branch_var)]
-                       : 0.0,
-                   lp.warm_started ? 1 : 0);
-#endif
       if (branch_var < 0) {
         // Integral LP optimum: new incumbent.
         if (lp.objective < incumbent_objective) {

@@ -524,10 +524,6 @@ DenseTableau::Repair DenseTableau::dual_repair() {
       if (step <= range) {
         // --- Basis change: the violating variable leaves exactly at the
         // bound it violated; the entering variable absorbs the step.
-#ifdef BIRP_LP_TRACE
-        std::fprintf(stderr, "rp pivot r=%d e=%d step=%.12g\n", leave_row,
-                     enter, step);
-#endif
         for (int i = 0; i < rows_; ++i) {
           if (i == leave_row) continue;
           const double a = at(i, enter);
@@ -551,9 +547,6 @@ DenseTableau::Repair DenseTableau::dual_repair() {
         break;
       }
 
-#ifdef BIRP_LP_TRACE
-      std::fprintf(stderr, "rp flip e=%d range=%.12g\n", enter, range);
-#endif
       // Box step: the entering variable hits its opposite bound before the
       // violation is fully resolved. Flip it, consume it, keep cascading;
       // the violation shrank strictly by range * |alpha|.

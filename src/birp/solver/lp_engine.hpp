@@ -19,9 +19,6 @@
 //    there is no path that counts the same elimination twice.
 #pragma once
 
-#ifdef BIRP_LP_TRACE
-#include <cstdio>
-#endif
 #include <optional>
 #include <span>
 #include <utility>
@@ -76,11 +73,6 @@ template <class Engine>
         if (emit_basis && solution->status == SolveStatus::Optimal) {
           solution->basis = engine.extract_basis();
         }
-#ifdef BIRP_LP_TRACE
-        std::fprintf(stderr, "LP warm iters=%lld status=%d obj=%.17g\n",
-                     (long long)solution->simplex_iterations,
-                     (int)solution->status, solution->objective);
-#endif
         return *std::move(solution);
       }
     }
@@ -95,12 +87,6 @@ template <class Engine>
   if (emit_basis && solution.status == SolveStatus::Optimal) {
     solution.basis = engine.extract_basis();
   }
-#ifdef BIRP_LP_TRACE
-  std::fprintf(stderr, "LP cold wasted=%lld iters=%lld status=%d obj=%.17g\n",
-               (long long)wasted_iterations,
-               (long long)solution.simplex_iterations, (int)solution.status,
-               solution.objective);
-#endif
   return solution;
 }
 

@@ -502,10 +502,6 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       if (step <= range) {
         // --- Basis change: the violating variable leaves exactly at the
         // bound it violated; the entering variable absorbs the step.
-#ifdef BIRP_LP_TRACE
-        std::fprintf(stderr, "rp pivot r=%d e=%d step=%.12g\n", leave_row,
-                     enter, step);
-#endif
         if (!change_basis(leave_row, enter, enter_dir, step, sigma > 0.0)) {
           return Repair::GiveUp;  // numerically singular basis
         }
@@ -514,9 +510,6 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       // Box step: the entering variable hits its opposite bound before the
       // violation is fully resolved. Flip it, consume it, keep cascading;
       // the violation shrank strictly by range * |alpha|.
-#ifdef BIRP_LP_TRACE
-      std::fprintf(stderr, "rp flip e=%d range=%.12g\n", enter, range);
-#endif
       bound_flip(enter, enter_dir > 0.0 ? 1.0 : -1.0, range);
       row_ratio_[static_cast<std::size_t>(enter)] = kInfinity;
       remaining -= range * gain;
@@ -671,9 +664,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
       const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
       if (sj == VarState::AtLower && d < -options_.tolerance) {
         if (!std::isfinite(form_.upper[static_cast<std::size_t>(j)])) {
-#ifdef BIRP_LP_TRACE
-          std::fprintf(stderr, "warmfail dual-infeasible d=%.3g\n", d);
-#endif
           return std::nullopt;
         }
         form_.state[static_cast<std::size_t>(j)] = VarState::AtUpper;
@@ -682,9 +672,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
         flipped = true;
       } else if (sj == VarState::AtUpper && d > options_.tolerance) {
         if (!std::isfinite(form_.lower[static_cast<std::size_t>(j)])) {
-#ifdef BIRP_LP_TRACE
-          std::fprintf(stderr, "warmfail dual-infeasible d=%.3g\n", d);
-#endif
           return std::nullopt;
         }
         form_.state[static_cast<std::size_t>(j)] = VarState::AtLower;
@@ -696,10 +683,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     if (flipped) recompute_basic_values();
     switch (dual_repair(costs)) {
       case Repair::GiveUp:
-#ifdef BIRP_LP_TRACE
-        std::fprintf(stderr, "warmfail repair-giveup iters=%lld\n",
-                     (long long)iterations_);
-#endif
         return std::nullopt;  // stalled: distrust the basis, cold retry
       case Repair::Infeasible: {
         Solution result;
@@ -718,10 +701,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
   // every iteration, so any drift accumulated during repair is corrected).
   const SolveStatus status = iterate(costs);
   if (status == SolveStatus::IterationLimit) {
-#ifdef BIRP_LP_TRACE
-    std::fprintf(stderr, "warmfail phase2-limit iters=%lld\n",
-                 (long long)iterations_);
-#endif
     return std::nullopt;
   }
 

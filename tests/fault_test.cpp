@@ -537,6 +537,33 @@ TEST(ServeFault, FailoverStrictlyReducesSloFailures) {
   EXPECT_EQ(with_failover.total_requests(), trace.total());
 }
 
+TEST(ServeFault, StepDrivenFinishConservesRequests) {
+  // Edge 0 is down in the last slot, so failover still holds retries at the
+  // horizon: only finish() turns them into terminal drops.
+  const auto cluster = small_cluster();
+  const auto trace = uniform_trace(cluster, 6, 6);
+  serve::ServeConfig config;
+  config.fault_plan = FaultPlan::flapping_edge(0, 1, 6, 2, 1);
+  config.failover.enabled = true;
+  serve::ServeEngine engine(cluster, trace, config);
+  LocalGreedyScheduler scheduler(cluster);
+  metrics::RunMetrics metrics;
+  while (engine.current_slot() < trace.slots()) {
+    engine.step(scheduler, &metrics);
+  }
+  EXPECT_LT(metrics.total_requests(), trace.total());
+  engine.finish(scheduler, metrics);
+  EXPECT_EQ(metrics.total_requests(), trace.total());
+
+  // run() is exactly the steps followed by finish().
+  LocalGreedyScheduler fresh(cluster);
+  const auto ran = serve::ServeEngine(cluster, trace, config).run(fresh);
+  EXPECT_EQ(ran.total_requests(), metrics.total_requests());
+  EXPECT_EQ(ran.orphan_dropped(), metrics.orphan_dropped());
+  EXPECT_EQ(ran.retries(), metrics.retries());
+  EXPECT_DOUBLE_EQ(ran.total_loss(), metrics.total_loss());
+}
+
 TEST(ServeFault, SameSeedIsBitIdentical) {
   const auto cluster = small_cluster();
   const auto trace = uniform_trace(cluster, 6, 6);

@@ -2,13 +2,18 @@
 // queue, and the ServeEngine end to end.
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "birp/core/birp_scheduler.hpp"
 #include "birp/device/cluster.hpp"
+#include "birp/fault/fault_plan.hpp"
 #include "birp/metrics/report_csv.hpp"
 #include "birp/serve/adaptive.hpp"
 #include "birp/serve/batcher.hpp"
@@ -354,26 +359,108 @@ TEST_F(ServeEngineFixture, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ServeEngineFixture, CountsMatchSlotSimulatorWithoutNoise) {
-  // Same scheduler, same demand, zero noise, ample queue: the request-level
-  // engine must agree with the slot simulator on what got served/dropped.
-  const auto trace = uniform_trace(cluster_, 3, 20);  // greedy drops 4/cell
-  sim::SimulatorConfig sim_config;
-  sim_config.noise_sigma = 0.0;
-  LocalGreedyScheduler sim_sched(cluster_);
-  const auto sim_metrics =
-      sim::Simulator(cluster_, trace, sim_config).run(sim_sched);
+  // Differential: both backends run the same slot loop, so with the same
+  // scheduler, zero noise, an ample queue and fixed-rule batching they must
+  // agree slot by slot on the post-repair decision and on what was served,
+  // shed, orphaned and retried, under every fault plan and with failover on.
+  struct Plan {
+    const char* name;
+    fault::FaultPlan plan;
+    std::int64_t per_cell;
+  };
+  const int slots = 8;
+  const std::vector<Plan> plans{
+      {"none", fault::FaultPlan{}, 20},
+      {"crash", fault::FaultPlan::single_edge_crash(1, 2, 5), 20},
+      {"crash-60", fault::FaultPlan::single_edge_crash(1, 2, 5), 60},
+      {"flap", fault::FaultPlan::flapping_edge(2, 1, slots, 2, 2), 20},
+  };
+  using Factory =
+      std::unique_ptr<sim::Scheduler> (*)(const device::ClusterSpec&);
+  const std::vector<std::pair<const char*, Factory>> schedulers{
+      {"local-greedy",
+       [](const device::ClusterSpec& c) -> std::unique_ptr<sim::Scheduler> {
+         return std::make_unique<LocalGreedyScheduler>(c);
+       }},
+      {"birp-off",
+       [](const device::ClusterSpec& c) -> std::unique_ptr<sim::Scheduler> {
+         return std::make_unique<core::BirpScheduler>(
+             core::BirpScheduler::offline(c));
+       }},
+  };
 
-  ServeConfig serve_config;
-  serve_config.noise_sigma = 0.0;
-  LocalGreedyScheduler serve_sched(cluster_);
-  const auto serve_metrics =
-      ServeEngine(cluster_, trace, serve_config).run(serve_sched);
+  for (const auto& plan : plans) {
+    for (const auto& [name, make] : schedulers) {
+      SCOPED_TRACE(std::string(plan.name) + " / " + name);
+      const auto trace = uniform_trace(cluster_, slots, plan.per_cell);
+      sim::SimulatorConfig sim_config;
+      sim_config.noise_sigma = 0.0;
+      sim_config.threads = 1;
+      sim_config.fault_plan = plan.plan;
+      sim_config.failover.enabled = true;
+      ServeConfig serve_config;
+      serve_config.noise_sigma = 0.0;
+      serve_config.threads = 1;
+      serve_config.fault_plan = plan.plan;
+      serve_config.failover.enabled = true;
+      sim::Simulator simulator(cluster_, trace, sim_config);
+      ServeEngine engine(cluster_, trace, serve_config);
+      const auto sim_sched = make(cluster_);
+      const auto serve_sched = make(cluster_);
+      metrics::RunMetrics sim_metrics;
+      metrics::RunMetrics serve_metrics;
 
-  EXPECT_EQ(serve_metrics.total_requests(), sim_metrics.total_requests());
-  EXPECT_EQ(serve_metrics.dropped(), sim_metrics.dropped());
-  EXPECT_EQ(serve_metrics.total_requests() - serve_metrics.dropped(),
-            sim_metrics.total_requests() - sim_metrics.dropped());
-  EXPECT_EQ(serve_metrics.queue_dropped(), 0);
+      std::int64_t retried = 0;
+      std::int64_t dropped = 0;
+      std::size_t flows = 0;
+      for (int t = 0; t < slots; ++t) {
+        SCOPED_TRACE("slot " + std::to_string(t));
+        const auto a = simulator.step(*sim_sched, &sim_metrics);
+        const auto b = engine.step(*serve_sched, &serve_metrics);
+        EXPECT_EQ(a.decision.served.raw(), b.decision.served.raw());
+        EXPECT_EQ(a.decision.kernel.raw(), b.decision.kernel.raw());
+        EXPECT_EQ(a.decision.drops.raw(), b.decision.drops.raw());
+        ASSERT_EQ(a.decision.flows.size(), b.decision.flows.size());
+        for (std::size_t f = 0; f < a.decision.flows.size(); ++f) {
+          EXPECT_EQ(a.decision.flows[f].app, b.decision.flows[f].app);
+          EXPECT_EQ(a.decision.flows[f].from, b.decision.flows[f].from);
+          EXPECT_EQ(a.decision.flows[f].to, b.decision.flows[f].to);
+          EXPECT_EQ(a.decision.flows[f].count, b.decision.flows[f].count);
+        }
+        EXPECT_EQ(a.served, b.served);
+        EXPECT_EQ(a.retried, b.retried);
+        EXPECT_EQ(a.orphaned, b.orphaned);
+        EXPECT_EQ(a.dropped, b.planned_drops);
+        EXPECT_EQ(b.queue_drops, 0);
+        retried += a.retried;
+        dropped += a.dropped + a.orphaned;
+        flows += a.decision.flows.size();
+      }
+      if (std::string(plan.name) == "crash-60") {
+        // The heavy crash case must actually exercise the paths it pins.
+        EXPECT_GT(retried, 0);
+        EXPECT_GT(dropped, 0);
+        if (std::string(name) == "birp-off") {
+          EXPECT_GT(flows, 0u);
+        }
+      }
+
+      simulator.finish(*sim_sched, sim_metrics);
+      engine.finish(*serve_sched, serve_metrics);
+      EXPECT_EQ(sim_metrics.total_requests(), trace.total());
+      EXPECT_EQ(serve_metrics.total_requests(), sim_metrics.total_requests());
+      EXPECT_EQ(serve_metrics.completion().count(),
+                sim_metrics.completion().count());
+      EXPECT_EQ(serve_metrics.dropped(), sim_metrics.dropped());
+      EXPECT_EQ(serve_metrics.orphan_dropped(), sim_metrics.orphan_dropped());
+      EXPECT_EQ(serve_metrics.retries(), sim_metrics.retries());
+      EXPECT_EQ(serve_metrics.queue_dropped(), 0);
+      for (int k = 0; k < cluster_.num_devices(); ++k) {
+        EXPECT_EQ(serve_metrics.downtime_slots(k),
+                  sim_metrics.downtime_slots(k));
+      }
+    }
+  }
 }
 
 TEST_F(ServeEngineFixture, BackpressureDropsAccountedExactlyOnce) {

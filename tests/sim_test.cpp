@@ -1,5 +1,9 @@
 // Tests for decision bookkeeping, validation/repair, and the simulator.
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +11,7 @@
 #include "birp/sim/decision.hpp"
 #include "birp/sim/scheduler.hpp"
 #include "birp/sim/simulator.hpp"
+#include "birp/sim/slot_loop.hpp"
 #include "birp/sim/validate.hpp"
 #include "birp/workload/trace.hpp"
 
@@ -444,85 +449,28 @@ TEST_F(SimulatorFixture, EnergyMatchesBusyAndIdleSplit) {
   EXPECT_GT(metrics.total_energy_j(), 0.0);
 }
 
-TEST_F(SimulatorFixture, CarryoverDefersFreshDropsOnce) {
-  // Demand 20, greedy serves 16: paper semantics fail 4 immediately;
-  // carryover semantics retry them next slot (demand 0 there), where they
-  // are served — no drops at all.
-  workload::Trace trace(2, 1, cluster_.num_devices());
-  for (int k = 0; k < cluster_.num_devices(); ++k) trace.set(0, 0, k, 20);
-  LocalGreedyScheduler scheduler(cluster_);
-
-  SimulatorConfig plain;
-  plain.noise_sigma = 0.0;
-  LocalGreedyScheduler s1(cluster_);
-  const auto strict = Simulator(cluster_, trace, plain).run(s1);
-  EXPECT_EQ(strict.dropped(), 4 * cluster_.num_devices());
-
-  SimulatorConfig retry = plain;
-  retry.carryover_unserved = true;
-  const auto carried = Simulator(cluster_, trace, retry).run(scheduler);
-  EXPECT_EQ(carried.dropped(), 0);
-  EXPECT_EQ(carried.total_requests(), trace.total());
-}
-
-TEST_F(SimulatorFixture, CarryoverAgedRequestsFailForGood) {
-  // Persistent overload: 20 demand every slot, capacity 16. Deferred
-  // requests meet another full slot and (drops consume aged first) fail.
-  workload::Trace trace(3, 1, cluster_.num_devices());
-  for (int t = 0; t < 3; ++t) {
-    for (int k = 0; k < cluster_.num_devices(); ++k) trace.set(t, 0, k, 20);
-  }
-  SimulatorConfig retry;
-  retry.noise_sigma = 0.0;
-  retry.carryover_unserved = true;
-  LocalGreedyScheduler scheduler(cluster_);
-  const auto metrics = Simulator(cluster_, trace, retry).run(scheduler);
-  // Every request eventually resolves: served or failed; none vanish.
-  EXPECT_EQ(metrics.total_requests(), trace.total());
-  EXPECT_GT(metrics.dropped(), 0);
-}
-
-TEST_F(SimulatorFixture, CarryoverReentersDemandExactlyOnce) {
-  // A scheduler that serves nothing, spying on the demand it is offered.
-  class DemandSpy : public Scheduler {
-   public:
-    explicit DemandSpy(const device::ClusterSpec& cluster)
-        : cluster_(cluster) {}
-    [[nodiscard]] std::string name() const override { return "spy"; }
-    [[nodiscard]] SlotDecision decide(const SlotState& state) override {
-      std::int64_t total = 0;
-      for (int i = 0; i < cluster_.num_apps(); ++i) {
-        for (int k = 0; k < cluster_.num_devices(); ++k) {
-          total += state.demand(i, k);
-        }
-      }
-      demands.push_back(total);
-      return SlotDecision(cluster_.num_apps(), cluster_.zoo().max_variants(),
-                          cluster_.num_devices());
-    }
-    std::vector<std::int64_t> demands;
-
-   private:
-    const device::ClusterSpec& cluster_;
-  };
-
-  // Demand only in slot 0; nothing is ever served. Deferred requests must
-  // re-enter the demand exactly once (slot 1) and fail for good on the
-  // second miss — slot 2 sees zero demand.
-  workload::Trace trace(3, 1, cluster_.num_devices());
-  for (int k = 0; k < cluster_.num_devices(); ++k) trace.set(0, 0, k, 7);
-  SimulatorConfig config;
-  config.noise_sigma = 0.0;
-  config.carryover_unserved = true;
-  DemandSpy scheduler(cluster_);
-  const auto metrics = Simulator(cluster_, trace, config).run(scheduler);
-  const std::int64_t total = 7 * cluster_.num_devices();
-  ASSERT_EQ(scheduler.demands.size(), 3u);
-  EXPECT_EQ(scheduler.demands[0], total);
-  EXPECT_EQ(scheduler.demands[1], total);  // deferred once
-  EXPECT_EQ(scheduler.demands[2], 0);      // failed for good, no re-entry
-  EXPECT_EQ(metrics.dropped(), total);     // each request fails exactly once
-  EXPECT_EQ(metrics.total_requests(), trace.total());
+TEST_F(SimulatorFixture, SlotLoopJoinsEveryEdgeBeforeAFailureUnwinds) {
+  // Edge tasks capture the caller's frame by reference: when one edge's
+  // execution throws, the others must finish before the exception leaves.
+  SlotLoop loop(cluster_, 2, fault::FaultPlan{}, fault::FailoverConfig{});
+  loop.open(util::Grid2<std::int64_t>(cluster_.num_apps(),
+                                      cluster_.num_devices(), 0));
+  struct Outcome {
+    std::vector<TirObservation> observations;
+    double busy_s = 0.0;
+  } outcome;
+  std::atomic<int> finished{0};
+  SlotResult slot;
+  EXPECT_THROW(loop.execute_edges(
+                   slot, nullptr,
+                   [&](int k) {
+                     if (k == 0) throw std::runtime_error("edge 0 failed");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                     ++finished;
+                   },
+                   [&](int) -> const Outcome& { return outcome; }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), cluster_.num_devices() - 1);
 }
 
 TEST_F(SimulatorFixture, MismatchedTraceRejected) {
