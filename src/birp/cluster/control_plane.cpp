@@ -40,7 +40,6 @@ ControlPlane::ControlPlane(const device::ClusterSpec& cluster,
 }
 
 std::string ControlPlane::name() const {
-  if (!config_.name_override.empty()) return config_.name_override;
   return "BIRP-CP/" + std::to_string(inner_->cells());
 }
 

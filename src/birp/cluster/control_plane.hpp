@@ -62,7 +62,6 @@ struct ControlPlaneConfig {
   double pressure_spread_threshold = 0.35;
   /// Minimum slots between repartitions.
   int cooldown_slots = 8;
-  std::string name_override;
 };
 
 class ControlPlane : public sim::Scheduler {

@@ -5,8 +5,9 @@
 // estimates refreshed from execution feedback; offline: ground-truth curves
 // profiled ahead of time), build the linearized slot problem, solve it with
 // branch-and-bound, and extract an executable decision. If the solver fails
-// to produce a usable incumbent within budget, a greedy fallback keeps the
-// system live (serve locally, smallest models first, drop the overflow).
+// to produce a usable incumbent within budget, the degraded plan keeps the
+// system live: the MILP's own round-and-repair heuristic, started from the
+// all-zero LP point, under the same budget model, liveness mask and hints.
 #pragma once
 
 #include <memory>
@@ -68,6 +69,11 @@ class BirpScheduler : public sim::Scheduler {
   }
 
   [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override;
+  /// The degraded plan without the MILP: the slot problem is built as in
+  /// decide(), then planned by the round-and-repair heuristic alone. Leaves
+  /// the warm-start and estimator state alone (the CellScheduler watchdog
+  /// serves tripped cells with it, then resumes the MILP).
+  [[nodiscard]] sim::SlotDecision decide_degraded(const sim::SlotState& state);
   void observe(const sim::SlotFeedback& feedback) override;
 
   /// Believed TIR parameters for the upcoming slot (diagnostics / tests).
@@ -122,8 +128,11 @@ class BirpScheduler : public sim::Scheduler {
  private:
   [[nodiscard]] std::size_t estimator_index(int device, int app,
                                             int variant) const;
-  [[nodiscard]] sim::SlotDecision greedy_fallback(
-      const sim::SlotState& state) const;
+  /// config_.problem overlaid with the slot's liveness mask and guard hints.
+  [[nodiscard]] ProblemOptions slot_options(const sim::SlotState& state) const;
+  [[nodiscard]] sim::SlotDecision degraded_plan(
+      const BuiltProblem& problem, const sim::SlotState& state,
+      const TirLookup& lookup, const ProblemOptions& options) const;
 
   const device::ClusterSpec& cluster_;
   BirpConfig config_;

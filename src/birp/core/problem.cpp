@@ -240,11 +240,7 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
   }
 
   const auto kernel_cap = [&](int k, int i, int j) {
-    const int mem_cap = std::max(
-        1, static_cast<int>(std::floor(
-               options.max_reservation_fraction * cluster.memory_mb(k) /
-               cluster.zoo().variant(i, j).intermediate_mb)));
-    return std::min({options.max_batch, tir(k, i, j).beta, mem_cap});
+    return problem.kernel_cap(i, j, k);
   };
   const auto serve_cap = [&](int k, int i, int j) {
     return kernel_cap(k, i, j) * std::max(1, options.launch_multiplier);

@@ -110,8 +110,10 @@ struct BuiltProblem {
   util::Grid2<int> m;  ///< [app][device] -> import var index
   util::Grid2<int> d;  ///< [app][device] -> drop var index
   std::vector<int> w;  ///< [device] -> peak working-set var index (Eq. 6')
-  /// Per-launch kernel batch cap min(max_batch, believed beta) used when
-  /// converting served counts into launch sizes.
+  /// Per-launch kernel batch cap: min(max_batch, believed beta, the memory
+  /// reservation limit), evaluated once here by build_slot_problem. Sizes
+  /// the activation reservation and the serving bound, and converts served
+  /// counts into launch sizes.
   util::Grid3<int> kernel_cap;
 };
 
@@ -128,7 +130,8 @@ struct BuiltProblem {
 /// decision, then repairing memory, believed-compute, and network overruns
 /// (shedding the least amount of serving necessary). Returns an empty
 /// vector when repair fails. This is what makes the per-slot MILP solvable
-/// in real time at small node budgets.
+/// in real time at small node budgets; from the all-zero LP point it is also
+/// BirpScheduler's degraded plan.
 [[nodiscard]] std::vector<double> heuristic_incumbent(
     const BuiltProblem& problem, std::span<const double> lp_values,
     const device::ClusterSpec& cluster,

@@ -373,7 +373,7 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision) {
       // TIR tuner sees the realized batch-size distribution (grown and
       // early-sealed launches included), not just the decided kernel; the
       // fixed rule keeps the first-launch-only behavior bit for bit.
-      if ((first_launch || batcher_.enabled()) && config_.report_observations) {
+      if (first_launch || batcher_.enabled()) {
         // Observed TIR per Eq. 1: the merged kernel processed `launch_size`
         // items in duration_s versus gamma each when serial.
         sim::TirObservation obs;

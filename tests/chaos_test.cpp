@@ -373,9 +373,43 @@ TEST(CellWatchdog, TripsIntoDegradedModeAndConserves) {
 
   EXPECT_GE(scheduler.watchdog_trips(), 1);
   EXPECT_GE(scheduler.degraded_cell_slots(), 1);
-  // Degraded cells answer with GreedyLocal + down-edge masking: every
-  // request still resolves exactly once.
+  // Degraded cells answer with BIRP's degraded plan, which honours the
+  // liveness mask: every request still resolves exactly once.
   EXPECT_EQ(metrics_run.total_requests(), trace.total());
+}
+
+TEST(CellWatchdog, DegradedCellsHonourLadderCaps) {
+  const auto config = small_topology_config(8, 2);
+  const auto topology = workload::generate_topology(config);
+  const auto cluster = workload::make_cluster(topology, config);
+  PartitionConfig pc;
+  pc.cells = 2;
+  CellSchedulerConfig cc;
+  cc.watchdog.enabled = true;
+  cc.watchdog.pivot_budget = 1;  // every real solve overruns
+  cc.watchdog.strike_threshold = 1;
+  cc.watchdog.degraded_slots = 3;
+  CellScheduler scheduler(
+      cluster, partition_cluster(cluster, &topology.link_mbps, pc), cc);
+
+  // The degradation ladder pins every app to its cheapest variant.
+  sim::SchedulerHints hints;
+  hints.variant_cap.assign(static_cast<std::size_t>(cluster.num_apps()), 0);
+  for (int t = 0; t < 4; ++t) {
+    auto state = uniform_state(cluster, t, 6);
+    state.hints = &hints;
+    const auto decision = scheduler.decide(state);
+    for (int i = 0; i < cluster.num_apps(); ++i) {
+      for (int j = 1; j < cluster.zoo().num_variants(i); ++j) {
+        for (int k = 0; k < cluster.num_devices(); ++k) {
+          EXPECT_EQ(decision.served(i, j, k), 0)
+              << "slot " << t << " app " << i << " variant " << j;
+        }
+      }
+    }
+  }
+  EXPECT_GE(scheduler.watchdog_trips(), 1);
+  EXPECT_GE(scheduler.degraded_cell_slots(), 1);
 }
 
 TEST(CellWatchdog, DisabledNeverTrips) {

@@ -554,9 +554,8 @@ TEST_F(ShardedFixture, ReportsAggregateFallbacksAndName) {
   EXPECT_EQ(scheduler.fallback_count(), 0);
   CellSchedulerConfig offline;
   offline.offline = true;
-  offline.name_override = "custom";
   CellScheduler named(cluster_, partition_, offline);
-  EXPECT_EQ(named.name(), "custom");
+  EXPECT_EQ(named.name(), "BIRP-OFF-CLUSTER/4");
 }
 
 TEST_F(ShardedFixture, RunsUnderTheServeEngine) {

@@ -17,6 +17,7 @@
 #include "birp/metrics/report_csv.hpp"
 #include "birp/serve/engine.hpp"
 #include "birp/sim/simulator.hpp"
+#include "birp/sim/validate.hpp"
 #include "birp/workload/trace.hpp"
 
 namespace birp::guard {
@@ -188,7 +189,6 @@ TEST(Admission, OracleFormulaAdmitsAndSheds) {
   GuardConfig config;
   config.admission.enabled = true;
   config.admission.slack = 1.0;
-  config.admission.marginal_batch_cost = 0.4;
   GuardController guard(cluster, config);
 
   const double tau = cluster.tau_s();
@@ -445,10 +445,6 @@ TEST(GuardValidation, RejectsOutOfRangeValues) {
   slack.admission.slack = 0.0;
   EXPECT_THROW(validate(slack), std::logic_error);
 
-  GuardConfig cost;
-  cost.admission.marginal_batch_cost = -0.1;
-  EXPECT_THROW(validate(cost), std::logic_error);
-
   GuardConfig window;
   window.breaker.window_slots = 0;
   EXPECT_THROW(validate(window), std::logic_error);
@@ -595,14 +591,40 @@ TEST(SolverFallback, IterationLimitEngagesGreedyWithValidDecision) {
   config.solver.max_nodes = 0;  // the B&B main loop never runs
   core::BirpScheduler scheduler(cluster, config);
 
+  // One down edge and a ladder cap of one variant below the top per app.
+  const int down = cluster.num_devices() - 1;
+  sim::SchedulerHints hints;
+  for (int i = 0; i < cluster.num_apps(); ++i) {
+    hints.variant_cap.push_back(cluster.zoo().num_variants(i) - 2);
+  }
   sim::SlotState state;
   state.slot = 0;
   state.demand = util::Grid2<std::int64_t>(cluster.num_apps(),
                                            cluster.num_devices(), 10);
+  state.edge_up.assign(static_cast<std::size_t>(cluster.num_devices()), 1);
+  state.edge_up[static_cast<std::size_t>(down)] = 0;
+  state.hints = &hints;
   const auto decision = scheduler.decide(state);
   EXPECT_EQ(scheduler.fallback_count(), 1);
 
-  // The greedy fallback must still conserve requests per (app, edge).
+  // The fallback plans against the validator's budget model: nothing to
+  // repair, nothing served on the down edge or above the ladder cap.
+  auto repaired = decision;
+  EXPECT_TRUE(sim::validate_and_repair(cluster, state.demand, nullptr,
+                                       repaired)
+                  .clean());
+  for (int i = 0; i < cluster.num_apps(); ++i) {
+    for (int j = 0; j < cluster.zoo().num_variants(i); ++j) {
+      EXPECT_EQ(decision.served(i, j, down), 0);
+      if (!state.variant_allowed(i, j)) {
+        for (int k = 0; k < cluster.num_devices(); ++k) {
+          EXPECT_EQ(decision.served(i, j, k), 0);
+        }
+      }
+    }
+  }
+
+  // The fallback must still conserve requests per (app, edge).
   for (int i = 0; i < cluster.num_apps(); ++i) {
     for (int k = 0; k < cluster.num_devices(); ++k) {
       std::int64_t served = 0;
