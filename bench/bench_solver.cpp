@@ -14,10 +14,12 @@
 //                      cell, cells solved on a pool. The dense engine cannot
 //                      touch this scale (the monolithic tableau alone would
 //                      be ~1 GB per node LP)
-// — and emits BENCH_solver.json with per-arm node/pivot totals and
-// decide-latency percentiles. CI runs `bench_solver --quick --check` and
-// archives the JSON, so the solver's perf trajectory is tracked PR over PR;
-// the committed BENCH_solver.json at the repo root is the current baseline.
+// — and emits BENCH_solver.json with per-arm node/pivot totals, warm
+// attempts abandoned to a cold re-solve (`--check` fails above 1% on
+// warm-serial and sparse-large), and decide-latency percentiles. CI runs
+// `bench_solver --quick --check` and archives the JSON, so the solver's
+// perf trajectory is tracked PR over PR; the committed BENCH_solver.json at
+// the repo root is the current baseline.
 //
 // Decisions are bit-identical across thread counts by construction (see
 // branch_and_bound.hpp). The sparse and dense engines are additionally
@@ -53,6 +55,11 @@ struct ConfigResult {
   std::int64_t factor_pivots = 0;
   std::int64_t warm_lp_solves = 0;
   std::int64_t cold_lp_solves = 0;
+  /// Warm attempts that fell back to the cold two-phase solve. Only each
+  /// scheduler's first root LP runs without a basis (the root basis carries
+  /// over between slots, one model shape per scheduler, and every child
+  /// inherits its parent's), so every other cold LP is an abandoned attempt.
+  std::int64_t abandoned_warm = 0;
   std::int64_t fallbacks = 0;
   double decide_ms_total = 0.0;
   double decide_ms_p50 = 0.0;
@@ -128,6 +135,7 @@ ConfigResult run_config(const std::string& name, const std::string& cluster,
   result.factor_pivots = scheduler.total_factor_pivots();
   result.warm_lp_solves = scheduler.warm_lp_solves();
   result.cold_lp_solves = scheduler.cold_lp_solves();
+  if (warm) result.abandoned_warm = result.cold_lp_solves - 1;
   result.fallbacks = scheduler.fallback_count();
   for (const double ms : decide_ms) result.decide_ms_total += ms;
   result.decide_ms_p50 = birp::util::percentile(decide_ms, 0.5);
@@ -201,6 +209,7 @@ ConfigResult run_large_config(const std::string& name,
     result.warm_lp_solves += cell.warm_lp_solves();
     result.cold_lp_solves += cell.cold_lp_solves();
   }
+  result.abandoned_warm = result.cold_lp_solves - scheduler.cells();
   result.fallbacks = scheduler.fallback_count();
   for (const double ms : decide_ms) result.decide_ms_total += ms;
   result.decide_ms_p50 = birp::util::percentile(decide_ms, 0.5);
@@ -237,6 +246,7 @@ void write_json(const std::string& path, const birp::bench::Cli& cli,
     out << "      \"factor_pivots\": " << r.factor_pivots << ",\n";
     out << "      \"warm_lp_solves\": " << r.warm_lp_solves << ",\n";
     out << "      \"cold_lp_solves\": " << r.cold_lp_solves << ",\n";
+    out << "      \"abandoned_warm\": " << r.abandoned_warm << ",\n";
     out << "      \"fallbacks\": " << r.fallbacks << ",\n";
     out << "      \"decide_ms_total\": " << r.decide_ms_total << ",\n";
     out << "      \"decide_ms_p50\": " << r.decide_ms_p50 << ",\n";
@@ -329,14 +339,15 @@ int main(int argc, char** argv) {
 
   birp::util::TextTable table({"config", "cluster", "engine", "nodes",
                                "simplex pivots", "factor pivots", "warm LPs",
-                               "cold LPs", "decide p50 ms", "decide p95 ms",
-                               "total ms"});
+                               "cold LPs", "abandoned", "decide p50 ms",
+                               "decide p95 ms", "total ms"});
   for (const auto& r : results) {
     table.add_row({r.name, r.cluster, r.algorithm, std::to_string(r.nodes),
                    std::to_string(r.simplex_pivots),
                    std::to_string(r.factor_pivots),
                    std::to_string(r.warm_lp_solves),
                    std::to_string(r.cold_lp_solves),
+                   std::to_string(r.abandoned_warm),
                    birp::util::fixed(r.decide_ms_p50, 3),
                    birp::util::fixed(r.decide_ms_p95, 3),
                    birp::util::fixed(r.decide_ms_total, 1)});
@@ -390,6 +401,17 @@ int main(int argc, char** argv) {
                 << " ms regressed vs dense "
                 << birp::util::fixed(dense_warm.decide_ms_total, 1) << " ms\n";
       ok = false;
+    }
+    // Warm starts must finish what they start: a warm attempt that falls
+    // back re-solves cold at many times the cost of a warm solve.
+    for (const ConfigResult* arm : {&sparse_warm, &large}) {
+      const std::int64_t attempts = arm->warm_lp_solves + arm->abandoned_warm;
+      if (100 * arm->abandoned_warm > attempts) {
+        std::cerr << "FAIL: " << arm->name << " abandoned "
+                  << arm->abandoned_warm << " of " << attempts
+                  << " warm attempts (> 1%)\n";
+        ok = false;
+      }
     }
     if (large.decide_ms_p95 >= 1000.0) {
       std::cerr << "FAIL: sparse-large decide p95 "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace birp::solver {
 
@@ -38,18 +37,30 @@ bool BasisLu::factorize(const StandardForm& form,
                         double pivot_tolerance, double threshold,
                         std::vector<int>& basis_of_row) {
   reset_identity(form.rows);
-  basis_of_row.assign(static_cast<std::size_t>(rows_), -1);
+  // Staged so a singular basis leaves the caller's basis_of_row untouched.
+  staged_basis_.assign(static_cast<std::size_t>(rows_), -1);
 
   // Sparsest-first column order: slack/artificial singletons become trivial
-  // etas and leave the structural columns a mostly-eliminated tail. Ties
-  // break by position so the elimination order — and therefore the floating
-  // point result — is deterministic.
-  std::vector<int> order(basic_cols.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return form.column_nnz(basic_cols[static_cast<std::size_t>(a)]) <
-           form.column_nnz(basic_cols[static_cast<std::size_t>(b)]);
-  });
+  // etas and leave the structural columns a mostly-eliminated tail. A
+  // stable counting sort by nnz: ties keep their position, so the
+  // elimination order — and therefore the floating point result — is
+  // deterministic.
+  int max_nnz = 0;
+  for (const int col : basic_cols) {
+    max_nnz = std::max(max_nnz, form.column_nnz(col));
+  }
+  nnz_start_.assign(static_cast<std::size_t>(max_nnz) + 2, 0);
+  for (const int col : basic_cols) {
+    ++nnz_start_[static_cast<std::size_t>(form.column_nnz(col)) + 1];
+  }
+  for (std::size_t b = 1; b < nnz_start_.size(); ++b) {
+    nnz_start_[b] += nnz_start_[b - 1];
+  }
+  order_.resize(basic_cols.size());
+  for (std::size_t idx = 0; idx < basic_cols.size(); ++idx) {
+    const auto nnz = static_cast<std::size_t>(form.column_nnz(basic_cols[idx]));
+    order_[static_cast<std::size_t>(nnz_start_[nnz]++)] = static_cast<int>(idx);
+  }
 
   in_touched_.assign(static_cast<std::size_t>(rows_), 0);
   touched_.clear();
@@ -62,7 +73,7 @@ bool BasisLu::factorize(const StandardForm& form,
   };
 
   std::vector<char> row_used(static_cast<std::size_t>(rows_), 0);
-  for (const int idx : order) {
+  for (const int idx : order_) {
     const int col = basic_cols[static_cast<std::size_t>(idx)];
     const int begin = form.col_start[static_cast<std::size_t>(col)];
     const int end = form.col_start[static_cast<std::size_t>(col) + 1];
@@ -88,7 +99,7 @@ bool BasisLu::factorize(const StandardForm& form,
         }
         ++factor_pivots_;
         row_used[static_cast<std::size_t>(row)] = 1;
-        basis_of_row[static_cast<std::size_t>(row)] = col;
+        staged_basis_[static_cast<std::size_t>(row)] = col;
         continue;
       }
     }
@@ -154,10 +165,11 @@ bool BasisLu::factorize(const StandardForm& form,
     etas_.push_back(eta);
     ++factor_pivots_;
     row_used[static_cast<std::size_t>(pivot_row)] = 1;
-    basis_of_row[static_cast<std::size_t>(pivot_row)] = col;
+    staged_basis_[static_cast<std::size_t>(pivot_row)] = col;
     clear_touched();
   }
   factor_nnz_ = static_cast<std::int64_t>(entry_row_.size());
+  basis_of_row.swap(staged_basis_);
   return true;
 }
 

@@ -37,11 +37,12 @@ class BasisLu {
 
   /// Factorizes the basis {basic_cols} from scratch. On success fills
   /// `basis_of_row` (basic column per pivot row) and returns true; on a
-  /// numerically singular basis returns false with the eliminations spent
-  /// so far still counted in factor_pivots(). `threshold` is the threshold
-  /// partial pivoting relative acceptance (a row is an eligible pivot when
-  /// its magnitude is at least `threshold` times the column maximum; ties
-  /// break to the smallest row index, deterministically).
+  /// numerically singular basis returns false, leaves `basis_of_row`
+  /// unchanged, and still counts the eliminations spent in factor_pivots().
+  /// `threshold` is the threshold partial pivoting relative acceptance (a
+  /// row is an eligible pivot when its magnitude is at least `threshold`
+  /// times the column maximum; ties break to the smallest row index,
+  /// deterministically).
   [[nodiscard]] bool factorize(const StandardForm& form,
                                std::span<const int> basic_cols,
                                double pivot_tolerance, double threshold,
@@ -98,6 +99,9 @@ class BasisLu {
   std::vector<double> work_;    ///< factorization scratch, size rows
   std::vector<int> touched_;    ///< rows of work_ currently nonzero
   std::vector<char> in_touched_;  ///< membership bitmap for touched_
+  std::vector<int> order_;         ///< factorize: basic columns by nnz
+  std::vector<int> nnz_start_;     ///< factorize: counting-sort buckets
+  std::vector<int> staged_basis_;  ///< factorize: basis_of_row until success
 
   int updates_since_factor_ = 0;
   std::int64_t factor_nnz_ = 0;

@@ -20,13 +20,6 @@
 namespace birp::solver {
 namespace {
 
-/// Relative ratio-test tie window; see simplex.cpp.
-constexpr double kRatioTie = 1e-11;
-
-/// Dual-repair pick margin, mirroring the sparse engine; see simplex.cpp
-/// for the cross-engine rationale.
-constexpr double kDualPickTie = 1e-9;
-
 /// Dense working storage for one simplex solve. The tableau holds B^{-1}A
 /// and is updated in place on every pivot.
 class DenseTableau {
@@ -55,7 +48,7 @@ class DenseTableau {
 
   Solution solve();
   /// Warm solve: dual repair + Phase II. nullopt asks the caller to fall
-  /// back to the cold path (stalled repair or dual-infeasible start).
+  /// back to the cold path (a repair or Phase II that stalls).
   std::optional<Solution> solve_warm();
 
   [[nodiscard]] bool warm_ok() const noexcept { return warm_ok_; }
@@ -298,7 +291,7 @@ SolveStatus DenseTableau::iterate(const std::vector<double>& costs) {
         enter_dir = dir;
         break;
       }
-      // Dantzig pricing with a first-wins margin; see simplex.cpp for the
+      // Dantzig pricing with a first-wins margin; see kDualPickTie for the
       // cross-engine rationale.
       if (std::abs(d) > best_score + kDualPickTie * (1.0 + best_score)) {
         best_score = std::abs(d);
@@ -694,41 +687,16 @@ std::optional<Solution> DenseTableau::solve_warm() {
   }
 
   if (primal_viol > options_.tolerance) {
-    // Dual repair needs a dual-feasible start. A parent-optimal basis under
-    // unchanged costs has one by construction; when the costs moved since
-    // the seed basis was optimal, restore it the boxed-variable way:
-    // bound-flip every nonbasic variable whose reduced cost has the wrong
-    // sign (flips leave the basis — and the reduced costs — unchanged).
-    // Only a variable with an infinite opposite bound cannot be flipped;
-    // that start goes back to the cold path.
-    bool flipped = false;
-    for (int j = 0; j < cols_; ++j) {
-      const auto sj = state_[static_cast<std::size_t>(j)];
-      if (sj == VarState::Basic) continue;
-      if (lower_[static_cast<std::size_t>(j)] ==
-          upper_[static_cast<std::size_t>(j)]) {
-        continue;
-      }
-      const double d = reduced_[static_cast<std::size_t>(j)];
-      if (sj == VarState::AtLower && d < -options_.tolerance) {
-        if (!std::isfinite(upper_[static_cast<std::size_t>(j)])) {
-          return std::nullopt;
-        }
-        state_[static_cast<std::size_t>(j)] = VarState::AtUpper;
-        value_[static_cast<std::size_t>(j)] =
-            upper_[static_cast<std::size_t>(j)];
-        flipped = true;
-      } else if (sj == VarState::AtUpper && d > options_.tolerance) {
-        if (!std::isfinite(lower_[static_cast<std::size_t>(j)])) {
-          return std::nullopt;
-        }
-        state_[static_cast<std::size_t>(j)] = VarState::AtLower;
-        value_[static_cast<std::size_t>(j)] =
-            lower_[static_cast<std::size_t>(j)];
-        flipped = true;
-      }
+    // Dual repair needs a dual-feasible start: prepare_dual_repair flips,
+    // shifts and perturbs exactly as the sparse engine does (lp_engine.hpp).
+    // The shifted reduced costs live only until Phase II recomputes them
+    // from the true costs.
+    std::vector<double> shift(reduced_.size(), 0.0);
+    if (prepare_dual_repair(state_, value_, lower_, upper_, costs, reduced_,
+                            options_.tolerance, shift)) {
+      recompute_basic_values();
     }
-    if (flipped) recompute_basic_values();
+    for (std::size_t j = 0; j < shift.size(); ++j) reduced_[j] += shift[j];
     switch (dual_repair()) {
       case Repair::GiveUp:
         return std::nullopt;  // stalled: distrust the basis, cold retry
@@ -745,8 +713,8 @@ std::optional<Solution> DenseTableau::solve_warm() {
     }
   }
 
-  // Phase II from a primal-feasible basis (recomputes reduced costs, so any
-  // drift accumulated during repair is corrected).
+  // Phase II on the true costs from a primal-feasible basis (recomputes
+  // reduced costs, dropping the repair's shifts and any accumulated drift).
   const SolveStatus status = iterate(costs);
   if (status == SolveStatus::IterationLimit) return std::nullopt;
 

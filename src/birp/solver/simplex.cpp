@@ -17,21 +17,6 @@
 namespace birp::solver {
 namespace {
 
-/// Relative tie window for ratio tests: two steps within this fraction of
-/// each other are considered tied (Bland tie-breaks then apply). The
-/// historical absolute 1e-12 window stopped meaning anything once steps
-/// left the O(1) range.
-constexpr double kRatioTie = 1e-11;
-
-/// Tie margin for the dual-repair picks (leaving row, ratio window, pivot
-/// magnitude). Wider than kRatioTie on purpose: the two LP engines compute
-/// these quantities through different linear algebra (eta-file solves vs
-/// in-place tableau updates), so near-ties carry ~1e-12 cross-engine noise.
-/// A first-within-margin-wins pick keeps both engines on the same pivot
-/// path, which is what keeps scheduler decisions bit-identical across
-/// engines when alternate optima exist.
-constexpr double kDualPickTie = 1e-9;
-
 /// Revised simplex over the shared standard form. The basis inverse lives
 /// in a BasisLu eta file; pricing recomputes duals/reduced costs from
 /// BTRAN each iteration (self-correcting, O(nnz)), the ratio test FTRANs
@@ -72,7 +57,7 @@ class RevisedSimplex {
 
   Solution solve();
   /// Warm solve: dual repair + Phase II. nullopt asks the caller to fall
-  /// back to the cold path (stalled repair or dual-infeasible start).
+  /// back to the cold path (a repair or Phase II that stalls).
   std::optional<Solution> solve_warm();
 
   [[nodiscard]] bool warm_ok() const noexcept { return warm_ok_; }
@@ -647,41 +632,24 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     // Dual repair needs a dual-feasible start. A parent-optimal basis under
     // unchanged costs has one by construction; when the costs moved since
     // the seed basis was optimal (a new slot's demand re-weights the
-    // objective), restore it the boxed-variable way: bound-flip every
-    // nonbasic variable whose reduced cost has the wrong sign. Flips do not
-    // touch the basis, so dual feasibility is exact afterwards; only a
-    // variable with an infinite opposite bound cannot be flipped, and that
-    // start goes back to the cold path.
+    // objective), prepare_dual_repair restores it by bound flips and
+    // repair-only cost shifts, and perturbs the repair costs against dual
+    // degeneracy (lp_engine.hpp).
     compute_duals(costs);
-    bool flipped = false;
+    std::vector<double> reduced(costs.size(), 0.0);
     for (int j = 0; j < form_.cols; ++j) {
-      const auto sj = form_.state[static_cast<std::size_t>(j)];
-      if (sj == VarState::Basic) continue;
-      if (form_.lower[static_cast<std::size_t>(j)] ==
-          form_.upper[static_cast<std::size_t>(j)]) {
-        continue;
-      }
-      const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
-      if (sj == VarState::AtLower && d < -options_.tolerance) {
-        if (!std::isfinite(form_.upper[static_cast<std::size_t>(j)])) {
-          return std::nullopt;
-        }
-        form_.state[static_cast<std::size_t>(j)] = VarState::AtUpper;
-        form_.value[static_cast<std::size_t>(j)] =
-            form_.upper[static_cast<std::size_t>(j)];
-        flipped = true;
-      } else if (sj == VarState::AtUpper && d > options_.tolerance) {
-        if (!std::isfinite(form_.lower[static_cast<std::size_t>(j)])) {
-          return std::nullopt;
-        }
-        form_.state[static_cast<std::size_t>(j)] = VarState::AtLower;
-        form_.value[static_cast<std::size_t>(j)] =
-            form_.lower[static_cast<std::size_t>(j)];
-        flipped = true;
-      }
+      if (form_.state[static_cast<std::size_t>(j)] == VarState::Basic) continue;
+      reduced[static_cast<std::size_t>(j)] =
+          costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
     }
-    if (flipped) recompute_basic_values();
-    switch (dual_repair(costs)) {
+    std::vector<double> shift(costs.size(), 0.0);
+    if (prepare_dual_repair(form_.state, form_.value, form_.lower, form_.upper,
+                            costs, reduced, options_.tolerance, shift)) {
+      recompute_basic_values();
+    }
+    std::vector<double> repair_costs = costs;
+    for (std::size_t j = 0; j < costs.size(); ++j) repair_costs[j] += shift[j];
+    switch (dual_repair(repair_costs)) {
       case Repair::GiveUp:
         return std::nullopt;  // stalled: distrust the basis, cold retry
       case Repair::Infeasible: {
@@ -697,8 +665,9 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     }
   }
 
-  // Phase II from a primal-feasible basis (reduced costs are recomputed
-  // every iteration, so any drift accumulated during repair is corrected).
+  // Phase II on the true costs from a primal-feasible basis (reduced costs
+  // are recomputed every iteration, so the repair's shifts and perturbation
+  // are gone, and any drift accumulated during repair is corrected).
   const SolveStatus status = iterate(costs);
   if (status == SolveStatus::IterationLimit) {
     return std::nullopt;

@@ -40,11 +40,16 @@
 // The basis is refactorized against the current bounds; primal
 // infeasibilities introduced by tightened bounds are repaired with a
 // bounded-variable dual simplex before Phase II polishes — Phase I never
-// runs on the warm path. A singular or unrepairable basis falls back to the
-// cold two-phase path, so warm starts are a pure optimization: statuses and
-// objectives match the cold solver. The Basis encoding and the
-// warm-attempt accounting are engine-independent (lp_engine.hpp), so a
-// basis emitted by one engine warm-starts the other.
+// runs on the warm path. The repair runs on its own costs: wrong-sign
+// reduced costs left by a re-priced objective are bound-flipped or, where
+// the opposite bound is infinite, shifted to zero, and every nonbasic cost
+// is perturbed against dual degeneracy (prepare_dual_repair in
+// lp_engine.hpp). Phase II then optimizes the true costs, so returned
+// optima are unaffected. Only a singular basis, or a repair or Phase II
+// that still stalls, falls back to the cold two-phase path, so warm starts
+// are a pure optimization: statuses and objectives match the cold solver.
+// The Basis encoding and the warm-attempt accounting are engine-independent
+// (lp_engine.hpp), so a basis emitted by one engine warm-starts the other.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 // Warm-start and parallel branch-and-bound coverage: warm-vs-cold result
 // identity on randomized LPs and slot-problem sequences, singular-basis
-// fallback, thread-count determinism, and the reported-gap bracket.
+// fallback, re-priced warm starts that must not fall back to cold,
+// thread-count determinism, and the reported-gap bracket.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -13,11 +14,14 @@
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
 #include "birp/runtime/thread_pool.hpp"
+#include "birp/solver/basis_lu.hpp"
 #include "birp/solver/branch_and_bound.hpp"
 #include "birp/solver/model.hpp"
 #include "birp/solver/simplex.hpp"
+#include "birp/solver/standard_form.hpp"
 #include "birp/util/grid.hpp"
 #include "birp/util/rng.hpp"
+#include "birp/workload/topology.hpp"
 
 namespace birp::solver {
 namespace {
@@ -168,6 +172,68 @@ TEST(WarmStart, SingularBasisFallsBackToCold) {
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_FALSE(sol.warm_started);
   EXPECT_NEAR(sol.objective, -2.0, kTol);
+}
+
+TEST(BasisLuFactorize, SingularBasisLeavesBasisOfRowUnchanged) {
+  // The same dependent pair as above, straight at the factorization: the
+  // first column claims a row before the second is found dependent, and
+  // none of that may leak into the caller's basis_of_row.
+  Model model;
+  const int x = model.add_continuous("x", 0.0, 5.0);
+  const int y = model.add_continuous("y", 0.0, 5.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 2.0);
+  const StandardForm form = build_standard_form(model, {}, {});
+
+  BasisLu lu;
+  std::vector<int> basis_of_row{2, 3};
+  const std::vector<int> singular{x, y};
+  EXPECT_FALSE(lu.factorize(form, singular, 1e-9, 0.1, basis_of_row));
+  EXPECT_EQ(basis_of_row, (std::vector<int>{2, 3}));
+
+  // The same object factorizes a regular basis afterwards.
+  const std::vector<int> regular{x, 3};
+  ASSERT_TRUE(lu.factorize(form, regular, 1e-9, 0.1, basis_of_row));
+  EXPECT_EQ(basis_of_row, (std::vector<int>{x, 3}));
+}
+
+TEST(WarmStart, RepricedInfiniteBoundColumnStaysWarm) {
+  // min 2x + y s.t. x + y >= 4 puts y basic at 4 and x (no upper bound) at
+  // its lower bound. Re-pricing to min x + 3y gives x a wrong-sign reduced
+  // cost that no bound flip can fix, and y <= 2 makes the basis primal
+  // infeasible, so the dual repair needs the cost shift to start at all.
+  Model before;
+  const int x = before.add_continuous("x", 0.0, kInfinity);
+  const int y = before.add_continuous("y", 0.0, 10.0);
+  before.set_objective(x, 2.0);
+  before.set_objective(y, 1.0);
+  before.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 4.0);
+  Model after = before;
+  after.set_objective(x, 1.0);
+  after.set_objective(y, 3.0);
+  const std::vector<double> lower{0.0, 0.0};
+  const std::vector<double> upper{kInfinity, 2.0};
+
+  for (const auto algorithm :
+       {SimplexAlgorithm::SparseRevised, SimplexAlgorithm::DenseTableau}) {
+    SimplexOptions options;
+    options.algorithm = algorithm;
+    const Solution seed = solve_lp(before, {}, {}, options, nullptr, true);
+    ASSERT_EQ(seed.status, SolveStatus::Optimal);
+    ASSERT_EQ(seed.basis.structural,
+              (std::vector<VarState>{VarState::AtLower, VarState::Basic}));
+
+    const Solution warm =
+        solve_lp(after, lower, upper, options, &seed.basis, false);
+    const Solution cold = solve_lp(after, lower, upper, options);
+    ASSERT_EQ(cold.status, SolveStatus::Optimal);
+    ASSERT_EQ(warm.status, SolveStatus::Optimal)
+        << "algorithm " << static_cast<int>(algorithm);
+    EXPECT_TRUE(warm.warm_started)
+        << "algorithm " << static_cast<int>(algorithm);
+    EXPECT_NEAR(warm.objective, cold.objective, kTol);
+    EXPECT_NEAR(warm.objective, 4.0, kTol);
+  }
 }
 
 TEST(WarmStart, DuplicateBasicColumnsRejected) {
@@ -411,6 +477,47 @@ TEST(SlotSequence, WarmParallelMatchesColdSerial) {
   }
   // Cross-slot + parent-basis reuse must cut pricing pivots over the run.
   EXPECT_LT(warm_total_pivots, cold_total_pivots);
+}
+
+TEST(SlotSequence, WarmAttemptsAreAlmostNeverAbandoned) {
+  // A small generated topology under drifting demand: every root after the
+  // first slot carries the previous slot's basis and every child its
+  // parent's, so each cold LP beyond the first root is a warm attempt that
+  // fell back to the two-phase solve.
+  workload::TopologyConfig config;
+  config.edges = 4;
+  config.apps = 10;
+  config.variants_per_app = 2;
+  config.seed = 1;
+  const auto topology = workload::generate_topology(config);
+  const auto cluster = workload::make_cluster(topology, config);
+  auto scheduler = core::BirpScheduler::offline(cluster);
+
+  util::Xoshiro256StarStar rng(1);
+  sim::SlotDecision previous(cluster.num_apps(), cluster.zoo().max_variants(),
+                             cluster.num_devices());
+  for (int slot = 0; slot < 40; ++slot) {
+    sim::SlotState state;
+    state.slot = slot;
+    state.demand = util::Grid2<std::int64_t>(cluster.num_apps(),
+                                             cluster.num_devices(), 0);
+    for (int i = 0; i < cluster.num_apps(); ++i) {
+      for (int k = 0; k < cluster.num_devices(); ++k) {
+        state.demand(i, k) =
+            2 + static_cast<std::int64_t>(rng.uniform_int(0, 10));
+      }
+    }
+    state.previous = slot == 0 ? nullptr : &previous;
+    previous = scheduler.decide(state);
+  }
+
+  const std::int64_t roots_without_basis = 1;
+  const std::int64_t abandoned =
+      scheduler.cold_lp_solves() - roots_without_basis;
+  const std::int64_t attempts = scheduler.warm_lp_solves() + abandoned;
+  ASSERT_GT(attempts, 100);
+  EXPECT_LT(100 * abandoned, attempts)
+      << abandoned << " of " << attempts << " warm attempts went cold";
 }
 
 TEST(SlotSequence, SchedulerDecisionsUnchangedBySolverThreads) {
