@@ -7,8 +7,12 @@
 // relative backlog), and when the pressure gap between two cells exceeds a
 // margin it moves a bounded slice of the hottest donor edge's demand to the
 // coolest recipient edge pre-solve. The CellScheduler materializes each
-// move as an inter-cell Flow in the merged decision, so global conservation
-// and network accounting stay exact under sim::validate_and_repair.
+// move as an inter-cell Flow in the merged decision and, where the
+// recipient cell re-exports moved demand inside the cell, routes that part
+// straight from the donor, so global conservation stays exact and no edge
+// exports more than its own demand. Cell MILPs do not budget the moves'
+// network use, so sim::validate_and_repair may still cancel flows at an
+// edge whose budget they overrun.
 //
 // Everything here is O(cells + devices + apps) straight-line arithmetic in
 // a fixed order — deterministic at any thread count by construction.
@@ -32,12 +36,8 @@ struct BalancerConfig {
   /// Fraction of min(donor, recipient) per-slot network budget the balancer
   /// may spend. Cell-local flows compete for the same budgets inside
   /// validate_and_repair, so this cap bounds — not eliminates — repair-time
-  /// flow cancellation; keep it well under 1.
+  /// network cancellation; keep it well under 1.
   double network_fraction = 0.5;
-  /// Donor/recipient cell pairs considered per slot.
-  int max_cell_pairs = 4;
-  /// EMA smoothing for the shed/busy feedback signals.
-  double ema_alpha = 0.4;
 };
 
 /// Smoothed per-cell state the balancer steers by.

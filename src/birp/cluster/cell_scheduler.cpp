@@ -1,11 +1,45 @@
 #include "birp/cluster/cell_scheduler.hpp"
 
+#include <algorithm>
 #include <future>
 #include <utility>
 
 #include "birp/util/check.hpp"
 
 namespace birp::cluster {
+namespace {
+
+/// A balancer move raises its recipient's demand, so the recipient cell's
+/// MILP may export part of it onward inside the cell; validation would
+/// cancel every export above the recipient's own demand into drops. Route
+/// that excess straight from the donor instead: shrink the in-cell flow
+/// to -> x and the move from -> to by r, and add from -> x. Every edge
+/// keeps its net flow, and none pays more network. `merged.flows` holds
+/// the in-cell flows first and the moves from index `first_move` on.
+void reroute_two_hop_exports(const util::Grid2<std::int64_t>& demand,
+                             std::size_t first_move,
+                             sim::SlotDecision& merged) {
+  auto& flows = merged.flows;
+  const std::size_t moves_end = flows.size();
+  for (std::size_t m = first_move; m < moves_end; ++m) {
+    const int app = flows[m].app;
+    const int to = flows[m].to;
+    std::int64_t excess = merged.exports(app, to) - demand(app, to);
+    for (std::size_t f = 0; f < first_move && excess > 0; ++f) {
+      if (flows[f].app != app || flows[f].from != to) continue;
+      const std::int64_t r =
+          std::min({excess, flows[f].count, flows[m].count});
+      if (r <= 0) continue;
+      flows[f].count -= r;
+      flows[m].count -= r;
+      excess -= r;
+      flows.push_back(sim::Flow{app, flows[m].from, flows[f].to, r});
+    }
+  }
+  std::erase_if(flows, [](const sim::Flow& f) { return f.count <= 0; });
+}
+
+}  // namespace
 
 CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
                              Partition partition, CellSchedulerConfig config)
@@ -221,9 +255,11 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
   // Balancer moves become real inter-cell flows, which keeps global
   // conservation exact: the donor already solved without the moved demand
   // (export covered), the recipient solved with it (import covers it).
+  const std::size_t first_move = merged.flows.size();
   for (const auto& move : moves) {
     merged.flows.push_back(sim::Flow{move.app, move.from, move.to, move.count});
   }
+  reroute_two_hop_exports(state.demand, first_move, merged);
 
   // 5. Watchdog bookkeeping, in fixed cell order after every solve joined.
   //    The deltas come from the solver's deterministic counters, so the

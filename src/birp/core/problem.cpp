@@ -9,6 +9,15 @@
 #include "birp/util/check.hpp"
 
 namespace birp::core {
+namespace {
+
+/// A single deployment's activation reservation (mu * kernel) may claim at
+/// most this fraction of the edge's memory; the per-launch kernel cap
+/// shrinks to fit. Keeps large models deployable at small batches instead
+/// of being locked out by a full-beta reservation.
+constexpr double kMaxReservationFraction = 0.5;
+
+}  // namespace
 
 BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
                                 const util::Grid2<std::int64_t>& demand,
@@ -57,7 +66,7 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
         // fraction of the edge's memory).
         const int mem_cap = std::max(
             1, static_cast<int>(std::floor(
-                   options.max_reservation_fraction * cluster.memory_mb(k) /
+                   kMaxReservationFraction * cluster.memory_mb(k) /
                    variant.intermediate_mb)));
         const int batch_cap =
             std::min({options.max_batch, believed.beta, mem_cap});
@@ -91,8 +100,7 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
     }
   }
   for (int i = 0; i < I; ++i) {
-    const double penalty =
-        options.drop_penalty_factor * cluster.zoo().worst_loss(i);
+    const double penalty = kDropPenaltyFactor * cluster.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
       const std::string tag = "_i" + std::to_string(i) + "k" + std::to_string(k);
       // Down edges exchange nothing: their region's demand can only drop.

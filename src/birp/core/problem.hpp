@@ -42,10 +42,11 @@ using TirLookup =
 /// latencies (the nn-Meter role in the paper).
 using GammaLookup = std::function<double(int device, int app, int variant)>;
 
+/// Drop penalty = factor * worst loss of the app; above 1 so serving is
+/// always preferred when feasible. OAEI prices drops the same way.
+inline constexpr double kDropPenaltyFactor = 2.0;
+
 struct ProblemOptions {
-  /// Drop penalty = factor * worst loss of the app; must exceed 1 so serving
-  /// is always preferred when feasible.
-  double drop_penalty_factor = 2.0;
   /// Global ceiling on per-launch batch size (min'd with believed beta).
   int max_batch = 16;
   /// Multi-launch extension: a deployment may serve up to
@@ -57,11 +58,6 @@ struct ProblemOptions {
   /// request) remains a conservative overestimate of the true multi-launch
   /// cost, so feasibility is preserved. Set to 1 for the strict reading.
   int launch_multiplier = 3;
-  /// A single deployment's activation reservation (mu * kernel) may claim
-  /// at most this fraction of the edge's memory; the per-launch kernel cap
-  /// shrinks to fit. Keeps large models deployable at small batches instead
-  /// of being locked out by a full-beta reservation.
-  double max_reservation_fraction = 0.5;
   /// Believed serial latencies; empty = cluster's exact gamma table.
   GammaLookup gamma_lookup;
   /// When false, exports/imports are pinned to zero — the NO-REDIST

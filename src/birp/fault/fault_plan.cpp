@@ -13,6 +13,9 @@ namespace birp::fault {
 namespace {
 
 constexpr double kMinBandwidthFloor = 0.01;
+/// Bandwidth multiplier on a struck rack's surviving members for the storm
+/// interval.
+constexpr double kCascadeBandwidthFactor = 0.5;
 
 bool covers(const FaultEvent& e, int device, int slot) noexcept {
   return e.device == device && slot >= e.from_slot && slot < e.to_slot;
@@ -214,9 +217,6 @@ FaultPlan FaultPlan::generate_correlated(
   util::check(options.group_size >= 1, "FaultPlan: group_size must be >= 1");
   util::check(options.group_fraction > 0.0 && options.group_fraction <= 1.0,
               "FaultPlan: group_fraction must be in (0, 1]");
-  util::check(options.cascade_bandwidth_factor > 0.0 &&
-                  options.cascade_bandwidth_factor <= 1.0,
-              "FaultPlan: cascade factor must be in (0, 1]");
   util::check(options.rescue_fraction >= 0.0 && options.rescue_fraction <= 1.0,
               "FaultPlan: rescue_fraction must be in [0, 1]");
   util::check(options.min_outage_slots >= 1 &&
@@ -267,14 +267,12 @@ FaultPlan FaultPlan::generate_correlated(
     }
     // Cascading bandwidth collapse on the struck rack's survivors: the storm
     // saturates the shared uplink while traffic reroutes.
-    if (options.cascade_bandwidth_factor < 1.0) {
-      for (int v = victims; v < size; ++v) {
-        const int device = members[static_cast<std::size_t>(v)];
-        const int until = std::min(options.slots, t + length);
-        if (until <= t) continue;
-        plan.add({FaultKind::kBandwidth, device, t, until,
-                  options.cascade_bandwidth_factor, incident});
-      }
+    for (int v = victims; v < size; ++v) {
+      const int device = members[static_cast<std::size_t>(v)];
+      const int until = std::min(options.slots, t + length);
+      if (until <= t) continue;
+      plan.add({FaultKind::kBandwidth, device, t, until,
+                kCascadeBandwidthFactor, incident});
     }
     ++incident;
     next_allowed = t + length + options.cooldown_slots;

@@ -104,9 +104,6 @@ struct CorrelatedFailureOptions {
   int max_outage_slots = 24;
   /// Successive victims recover this many slots apart (recovery wave).
   int recovery_stagger_slots = 2;
-  /// Bandwidth multiplier applied to the struck rack's surviving members for
-  /// the storm interval; 1 disables the cascade.
-  double cascade_bandwidth_factor = 0.5;
   /// Fraction of victims that transiently recover mid-outage (kUp window in
   /// the middle half of their outage) and then relapse. 0 disables.
   double rescue_fraction = 0.0;

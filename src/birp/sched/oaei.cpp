@@ -10,17 +10,19 @@
 namespace birp::sched {
 namespace {
 
+/// EWMA smoothing for the capacity-correction factor.
+constexpr double kCapacitySmoothing = 0.2;
+
 /// Builds OAEI's serial-execution LP into the shared BuiltProblem shape so
 /// core::extract_decision can read the solution. Differences from BIRP's
 /// problem: x is relaxed to [0,1]; z carries served counts with a big-M link
 /// (serial execution has no per-deployment batch cap); memory charges
 /// batch-1 intermediates; compute charges gamma per request with the learned
 /// capacity factor (no TIR speedup — execution is serial).
-core::BuiltProblem build_oaei_problem(const device::ClusterSpec& cluster,
-                                      const util::Grid2<std::int64_t>& demand,
-                                      const sim::SlotDecision* previous,
-                                      const std::vector<double>& capacity_factor,
-                                      const OaeiConfig& config) {
+core::BuiltProblem build_oaei_problem(
+    const device::ClusterSpec& cluster,
+    const util::Grid2<std::int64_t>& demand, const sim::SlotDecision* previous,
+    const std::vector<double>& capacity_factor) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
   const int Jmax = cluster.zoo().max_variants();
@@ -72,7 +74,7 @@ core::BuiltProblem build_oaei_problem(const device::ClusterSpec& cluster,
   }
   for (int i = 0; i < I; ++i) {
     const double penalty =
-        config.drop_penalty_factor * cluster.zoo().worst_loss(i);
+        core::kDropPenaltyFactor * cluster.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
       const std::string tag = "_i" + std::to_string(i) + "k" + std::to_string(k);
       built.e(i, k) = model.add_continuous(
@@ -162,7 +164,7 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
   const int K = cluster_.num_devices();
 
   core::BuiltProblem problem = build_oaei_problem(
-      cluster_, state.demand, state.previous, capacity_factor_, config_);
+      cluster_, state.demand, state.previous, capacity_factor_);
   const solver::Solution relaxed = solver::solve_lp(problem.model, config_.lp);
 
   sim::SlotDecision decision(I, cluster_.zoo().max_variants(), K);
@@ -295,8 +297,7 @@ void OaeiScheduler::observe(const sim::SlotFeedback& feedback) {
     auto& factor = capacity_factor_[static_cast<std::size_t>(k)];
     const double sample =
         std::clamp(observed / predicted * factor, 0.25, 4.0);
-    factor = (1.0 - config_.capacity_smoothing) * factor +
-             config_.capacity_smoothing * sample;
+    factor = (1.0 - kCapacitySmoothing) * factor + kCapacitySmoothing * sample;
   }
 }
 

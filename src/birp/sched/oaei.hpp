@@ -24,10 +24,6 @@
 namespace birp::sched {
 
 struct OaeiConfig {
-  /// Drop penalty factor over worst loss (same convention as BIRP).
-  double drop_penalty_factor = 2.0;
-  /// EWMA smoothing for the capacity-correction factor.
-  double capacity_smoothing = 0.2;
   std::uint64_t rounding_seed = 0x0ae1;
   solver::SimplexOptions lp;
 };

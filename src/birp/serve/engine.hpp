@@ -25,14 +25,14 @@
 // forked RNG streams and per-edge computation is sequential, so results
 // are bit-identical at any thread count.
 //
-// Hot-path layout (PR 10): every piece of per-edge working state — the
-// lock-free admission queue, batch scratch buffers, gate tables, and the
-// outcome accumulators — lives in a cache-line-aligned EdgeShard owned by
-// exactly one worker per slot. Shards persist across slots with grow-only
-// capacity, so steady-state serving performs zero heap allocations per
-// request on the admission→seal→launch path (asserted in serve_test via
-// the BIRP_COUNT_ALLOCS hook, tracked in BENCH_serve.json); cross-edge
-// workers never share a cache line or a lock.
+// Hot-path layout: every piece of per-edge working state — the admission
+// queue, batch scratch buffers, gate tables, and the outcome accumulators —
+// lives in a cache-line-aligned EdgeShard owned by exactly one worker per
+// slot, so none of it needs a lock or an atomic. Shards persist across
+// slots with grow-only capacity, so steady-state serving performs zero heap
+// allocations per request on the admission→seal→launch path (asserted in
+// serve_test via the BIRP_COUNT_ALLOCS hook, tracked in BENCH_serve.json);
+// cross-edge workers never share a cache line or a lock.
 //
 // SLO semantics differ deliberately from the simulator: the simulator
 // checks completion within the slot (slot-relative), the engine checks each

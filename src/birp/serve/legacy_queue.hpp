@@ -1,13 +1,13 @@
-// The pre-ring admission queue, kept as the A/B reference implementation.
+// The seed admission queue, kept as the A/B reference implementation.
 //
 // This is the seed AdmissionQueue verbatim — std::deque FIFOs, a
 // std::priority_queue departure heap, a std::function admission gate —
 // with one addition: a mutex serializing every public operation. The seed
 // engine relied on external serialization (one queue per edge worker); any
 // shared thread-safe variant of it would have paid this lock on every
-// admission, which is exactly the cost the lock-free rewrite removes.
+// admission, which the single-owner AdmissionQueue never needs.
 // bench_serve's baseline arm drives this class to measure that cost, and
-// the byte-identity suite in serve_test asserts the rewritten queue
+// the byte-identity suite in serve_test asserts the current queue
 // reproduces its admit/shed/defer streams decision for decision.
 //
 // Do not extend this class; it exists to stay still.
@@ -20,7 +20,7 @@
 #include <queue>
 #include <vector>
 
-#include "birp/serve/queue.hpp"  // QueuePolicy, shared with the rewrite
+#include "birp/serve/queue.hpp"  // QueuePolicy, shared with AdmissionQueue
 #include "birp/serve/request.hpp"
 #include "birp/util/stats.hpp"
 

@@ -1,43 +1,21 @@
 #include "birp/serve/queue.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "birp/util/check.hpp"
 
 namespace birp::serve {
 
-std::size_t AdmissionQueue::WaitingView::size() const noexcept {
-  return static_cast<std::size_t>(queue_->fifo(app_).size);
-}
-
-const ServeItem& AdmissionQueue::WaitingView::front() const {
-  return queue_->pool_[queue_->fifo(app_).head];
-}
-
-AdmissionQueue::WaitingView::Iterator AdmissionQueue::WaitingView::begin()
-    const {
-  return Iterator(&queue_->pool_, queue_->fifo(app_).head);
-}
-
-AdmissionQueue::WaitingView::Iterator AdmissionQueue::WaitingView::end()
-    const {
-  return Iterator(&queue_->pool_, runtime::kSlabNil);
-}
-
 AdmissionQueue::AdmissionQueue(int apps, const std::vector<ServeItem>& stream,
                                std::int64_t capacity, QueuePolicy policy,
                                AdmissionGate gate) {
-  reset(apps, capacity, policy, gate, stream.size());
-  for (const auto& item : stream) {
-    util::check(offer(item), "AdmissionQueue: staging ring full");
-  }
+  reset(apps, stream, capacity, policy, gate);
 }
 
-void AdmissionQueue::reset(int apps, std::int64_t capacity,
-                           QueuePolicy policy, AdmissionGate gate,
-                           std::size_t stream_capacity,
-                           double timer_origin_s,
-                           double timer_resolution_s) {
+void AdmissionQueue::reset(int apps, const std::vector<ServeItem>& stream,
+                           std::int64_t capacity, QueuePolicy policy,
+                           AdmissionGate gate) {
   util::check(apps > 0, "AdmissionQueue: need at least one app");
   apps_ = apps;
   capacity_ = capacity;
@@ -45,26 +23,20 @@ void AdmissionQueue::reset(int apps, std::int64_t capacity,
   gate_ = gate;
   depth_ = 0;
 
-  stream_.resize(std::max<std::size_t>(1, stream_capacity));
-  if (static_cast<std::size_t>(apps) > upstream_capacity_) {
-    produced_ = std::make_unique<std::atomic<std::int64_t>[]>(
-        static_cast<std::size_t>(apps));
-    upstream_capacity_ = static_cast<std::size_t>(apps);
+  stream_.assign(stream.begin(), stream.end());
+  next_ = 0;
+  upstream_.assign(static_cast<std::size_t>(apps), 0);
+  for (const auto& item : stream_) {
+    util::check(item.app >= 0 && item.app < apps_,
+                "AdmissionQueue: item app out of range");
+    ++upstream_[static_cast<std::size_t>(item.app)];
   }
-  for (int i = 0; i < apps; ++i) {
-    produced_[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
-  }
-  if (consumed_.size() < static_cast<std::size_t>(apps)) {
-    consumed_.resize(static_cast<std::size_t>(apps));
-  }
-  for (auto& c : consumed_) c = 0;
 
   if (fifos_.size() < static_cast<std::size_t>(apps)) {
     fifos_.resize(static_cast<std::size_t>(apps));
   }
-  for (auto& f : fifos_) f = Fifo{};
-  pool_.reclaim_all();
-  departures_.reset(timer_origin_s, timer_resolution_s);
+  for (auto& f : fifos_) pop_front(f, f.size());
+  departures_.clear();
 
   dropped_.clear();
   deadline_shed_.clear();
@@ -73,106 +45,46 @@ void AdmissionQueue::reset(int apps, std::int64_t capacity,
 
 void AdmissionQueue::reserve(int apps, std::size_t items) {
   util::check(apps > 0, "AdmissionQueue: need at least one app");
-  stream_.resize(std::max<std::size_t>(1, items));
-  pool_.reserve(items);
-  departures_.reserve(items);
-  dropped_.reserve(items);
-  deadline_shed_.reserve(items);
-  if (static_cast<std::size_t>(apps) > upstream_capacity_) {
-    produced_ = std::make_unique<std::atomic<std::int64_t>[]>(
-        static_cast<std::size_t>(apps));
-    upstream_capacity_ = static_cast<std::size_t>(apps);
-  }
-  if (consumed_.size() < static_cast<std::size_t>(apps)) {
-    consumed_.resize(static_cast<std::size_t>(apps));
-  }
+  stream_.reserve(items);
+  upstream_.reserve(static_cast<std::size_t>(apps));
   if (fifos_.size() < static_cast<std::size_t>(apps)) {
     fifos_.resize(static_cast<std::size_t>(apps));
   }
+  for (auto& f : fifos_) f.items.reserve(items);
+  departures_.reserve(items);
+  dropped_.reserve(items);
+  deadline_shed_.reserve(items);
 }
 
-bool AdmissionQueue::offer(const ServeItem& item) {
-  util::check(item.app >= 0 && item.app < apps_,
-              "AdmissionQueue: item app out of range");
-  if (!stream_.try_push(item)) return false;
-  produced_[static_cast<std::size_t>(item.app)].fetch_add(
-      1, std::memory_order_relaxed);
-  return true;
-}
-
-bool AdmissionQueue::offer_all(const ServeItem* items, std::size_t count) {
-  const std::size_t pushed = stream_.try_push_many(items, count);
-  // Batch the upstream updates down to one atomic add per app. Streams are
-  // sorted by time, so apps interleave freely — accumulate on the stack
-  // (per-producer-call, so no cross-producer race) when the app count
-  // allows, falling back to run-length adds for very wide clusters.
-  constexpr int kStackApps = 64;
-  if (apps_ <= kStackApps) {
-    std::int64_t counts[kStackApps] = {};
-    for (std::size_t i = 0; i < pushed; ++i) {
-      const int app = items[i].app;
-      util::check(app >= 0 && app < apps_,
-                  "AdmissionQueue: item app out of range");
-      ++counts[app];
-    }
-    for (int app = 0; app < apps_; ++app) {
-      if (counts[app] != 0) {
-        produced_[static_cast<std::size_t>(app)].fetch_add(
-            counts[app], std::memory_order_relaxed);
-      }
-    }
-  } else {
-    std::size_t i = 0;
-    while (i < pushed) {
-      const int app = items[i].app;
-      util::check(app >= 0 && app < apps_,
-                  "AdmissionQueue: item app out of range");
-      std::size_t j = i + 1;
-      while (j < pushed && items[j].app == app) ++j;
-      produced_[static_cast<std::size_t>(app)].fetch_add(
-          static_cast<std::int64_t>(j - i), std::memory_order_relaxed);
-      i = j;
-    }
+void AdmissionQueue::pop_front(Fifo& f, std::size_t count) {
+  f.head += count;
+  if (f.head == f.items.size()) {
+    f.items.clear();
+    f.head = 0;
   }
-  return pushed == count;
 }
 
-void AdmissionQueue::push_fifo(int app, const ServeItem& item) {
-  const std::int32_t node = pool_.acquire();
-  pool_[node] = item;
-  auto& f = fifo(app);
-  if (f.tail == runtime::kSlabNil) {
-    f.head = node;
-  } else {
-    pool_.set_next(f.tail, node);
+void AdmissionQueue::release_departures(double time_s) {
+  while (!departures_.empty() && departures_.front().first <= time_s) {
+    depth_ -= departures_.front().second;
+    std::pop_heap(departures_.begin(), departures_.end(), std::greater<>{});
+    departures_.pop_back();
   }
-  f.tail = node;
-  ++f.size;
-}
-
-ServeItem AdmissionQueue::pop_fifo(int app) {
-  auto& f = fifo(app);
-  const std::int32_t node = f.head;
-  const ServeItem item = pool_[node];
-  f.head = pool_.next_of(node);
-  if (f.head == runtime::kSlabNil) f.tail = runtime::kSlabNil;
-  --f.size;
-  pool_.release(node);
-  return item;
 }
 
 void AdmissionQueue::admit_next() {
-  ServeItem item;
-  util::check(stream_.try_pop(item), "AdmissionQueue: stream exhausted");
-  ++consumed_[static_cast<std::size_t>(item.app)];
+  util::check(next_ < stream_.size(), "AdmissionQueue: stream exhausted");
+  const ServeItem item = stream_[next_++];
+  --upstream_[static_cast<std::size_t>(item.app)];
 
   // Apply departures (launch starts) that happened before this arrival.
-  depth_ -= departures_.advance(item.available_s);
+  release_departures(item.available_s);
 
   // Deadline-aware shedding happens before the capacity check: a request
   // predicted to miss its SLO is cheap to reject here, and must not evict a
   // still-viable buffered request to make room for itself.
-  if (gate_ && !gate_(item, fifo(item.app).size)) {
+  if (gate_ &&
+      !gate_(item, static_cast<std::int64_t>(fifo(item.app).size()))) {
     deadline_shed_.push_back(item);
     sample_depth();
     return;
@@ -181,19 +93,17 @@ void AdmissionQueue::admit_next() {
   if (capacity_ > 0 && depth_ >= capacity_) {
     if (policy_ == QueuePolicy::kEvictOldest) {
       // Evict the longest-waiting buffered request (ties: lowest app).
-      int victim_app = -1;
-      double victim_avail = 0.0;
-      for (int a = 0; a < apps_; ++a) {
-        const auto& f = fifo(a);
-        if (f.head == runtime::kSlabNil) continue;
-        const double avail = pool_[f.head].available_s;
-        if (victim_app < 0 || avail < victim_avail) {
-          victim_app = a;
-          victim_avail = avail;
+      Fifo* victim = nullptr;
+      for (auto& f : fifos_) {
+        if (f.size() == 0) continue;
+        if (victim == nullptr || f.items[f.head].available_s <
+                                     victim->items[victim->head].available_s) {
+          victim = &f;
         }
       }
-      if (victim_app >= 0) {
-        dropped_.push_back(pop_fifo(victim_app));
+      if (victim != nullptr) {
+        dropped_.push_back(victim->items[victim->head]);
+        pop_front(*victim, 1);
         --depth_;
       } else {
         // Every buffered request is already sealed into a launch; nothing
@@ -209,53 +119,48 @@ void AdmissionQueue::admit_next() {
     }
   }
 
-  push_fifo(item.app, item);
+  fifo(item.app).items.push_back(item);
   ++depth_;
   sample_depth();
 }
 
 void AdmissionQueue::fill(int app, std::size_t want) {
   const auto& f = fifo(app);
-  while (static_cast<std::size_t>(f.size) < want && upstream(app) > 0) {
-    admit_next();
-  }
+  while (f.size() < want && upstream(app) > 0) admit_next();
 }
 
 void AdmissionQueue::fill_until(int app, std::size_t want,
                                 double threshold_s) {
   const auto& f = fifo(app);
-  while (static_cast<std::size_t>(f.size) < want && upstream(app) > 0) {
-    const ServeItem* next = stream_.front();
-    if (next == nullptr || next->available_s > threshold_s) break;
+  while (f.size() < want && upstream(app) > 0 &&
+         stream_[next_].available_s <= threshold_s) {
     admit_next();
   }
 }
 
 bool AdmissionQueue::exhausted(int app) const {
-  return fifo(app).size == 0 && upstream(app) == 0;
+  return fifo(app).size() == 0 && upstream(app) == 0;
 }
 
 void AdmissionQueue::take_into(int app, std::size_t count,
                                std::vector<ServeItem>& out) {
-  out.clear();
   auto& f = fifo(app);
-  util::check(count <= static_cast<std::size_t>(f.size),
-              "AdmissionQueue: take beyond waiting");
-  for (std::size_t r = 0; r < count; ++r) {
-    out.push_back(pop_fifo(app));
-  }
+  util::check(count <= f.size(), "AdmissionQueue: take beyond waiting");
+  const auto first = f.items.begin() + static_cast<std::ptrdiff_t>(f.head);
+  out.assign(first, first + static_cast<std::ptrdiff_t>(count));
+  pop_front(f, count);
 }
 
 std::vector<ServeItem> AdmissionQueue::take(int app, std::size_t count) {
   std::vector<ServeItem> taken;
-  taken.reserve(count);
   take_into(app, count, taken);
   return taken;
 }
 
 void AdmissionQueue::on_dispatch(double start_s, std::size_t count) {
   if (count == 0) return;
-  departures_.schedule(start_s, static_cast<std::int64_t>(count));
+  departures_.emplace_back(start_s, static_cast<std::int64_t>(count));
+  std::push_heap(departures_.begin(), departures_.end(), std::greater<>{});
 }
 
 void AdmissionQueue::settle_departures() {
@@ -263,18 +168,17 @@ void AdmissionQueue::settle_departures() {
   // departures release their capacity now. Without this, a drained queue
   // kept stale events and a depth_ still counting requests that left long
   // ago.
-  depth_ -= departures_.settle_all();
+  for (const auto& departure : departures_) depth_ -= departure.second;
+  departures_.clear();
   util::check(depth_ >= 0, "AdmissionQueue: departures exceed admissions");
 }
 
 void AdmissionQueue::drain_unprocessed_into(std::vector<ServeItem>& out) {
   settle_departures();
-  out.clear();
-  ServeItem item;
-  while (stream_.try_pop(item)) {
-    ++consumed_[static_cast<std::size_t>(item.app)];
-    out.push_back(item);
-  }
+  out.assign(stream_.begin() + static_cast<std::ptrdiff_t>(next_),
+             stream_.end());
+  next_ = stream_.size();
+  std::fill(upstream_.begin(), upstream_.end(), 0);
 }
 
 std::vector<ServeItem> AdmissionQueue::drain_unprocessed() {
@@ -286,10 +190,12 @@ std::vector<ServeItem> AdmissionQueue::drain_unprocessed() {
 void AdmissionQueue::drain_waiting_into(std::vector<ServeItem>& out) {
   settle_departures();
   out.clear();
-  for (int a = 0; a < apps_; ++a) {
-    auto& f = fifo(a);
-    depth_ -= f.size;
-    while (f.size > 0) out.push_back(pop_fifo(a));
+  for (auto& f : fifos_) {
+    depth_ -= static_cast<std::int64_t>(f.size());
+    out.insert(out.end(),
+               f.items.begin() + static_cast<std::ptrdiff_t>(f.head),
+               f.items.end());
+    pop_front(f, f.size());
   }
   util::check(depth_ == 0, "AdmissionQueue: depth inconsistent after drain");
 }

@@ -1,4 +1,4 @@
-// Per-edge admission queue for the serving runtime — lock-free hot path.
+// Per-edge admission queue for the serving runtime.
 //
 // One edge's requests (local arrivals plus redistributed imports) form a
 // single chronological stream; the queue admits them in availability order
@@ -9,40 +9,34 @@
 // in time, so an admission decision at time T sees exactly the requests
 // buffered at T.
 //
-// The PR-10 rewrite keeps that contract and replaces every internal
-// container with a steady-state allocation-free, lock-free equivalent:
+// A queue has exactly one owner: the engine worker serving its edge in the
+// slot, which stages the merged, sorted stream and consumes it on the same
+// thread. Every part is therefore a plain container that keeps its
+// capacity across reset():
 //
-//   * the arrival stream is a bounded MPSC ring (runtime/mpsc_ring.hpp) —
-//     producers stage with offer() from any thread, the owning edge worker
-//     consumes without ever taking a lock;
-//   * waiting requests live in intrusive per-app FIFOs over a slab
-//     recycler (runtime/slab.hpp) — no per-request node allocation once
-//     the slab's high-water mark is reached;
-//   * deferred departures go through a hierarchical timer wheel
-//     (runtime/timer_wheel.hpp) instead of a binary heap — O(1) schedule,
-//     bucket-granular expiry with exact-time comparisons only at the
-//     boundary bucket;
-//   * the admission gate is a non-owning context+function-pointer pair,
-//     not a std::function — no type-erasure allocation per slot.
+//   * staging — the slot's stream copied into a vector read through a
+//     cursor, with a per-app count of what is still upstream;
+//   * waiting — one vector per app with a head index, cleared whenever it
+//     empties;
+//   * departures — a binary min-heap of (launch start, count), released up
+//     to each arrival's time: the seed's std::priority_queue semantics for
+//     any dispatch order;
+//   * the admission gate — a non-owning context+function-pointer pair, not
+//     a std::function, so re-arming it allocates nothing.
 //
-// reset() retains every capacity, so an engine reusing one queue per edge
-// across slots performs zero heap allocations per request in steady state
-// (asserted in serve_test with the BIRP_COUNT_ALLOCS hook).
+// Once reserve() has sized it, an engine reusing one queue per edge across
+// slots performs zero heap allocations per request (asserted in serve_test
+// with the BIRP_COUNT_ALLOCS hook).
 //
 // Determinism: the admission decision sequence is byte-identical to the
-// seed implementation (kept as serve/legacy_queue.hpp) for any staging
-// order equal to the seed's stream order — pinned by serve_test's
-// byte-identity suite.
+// seed implementation (kept as serve/legacy_queue.hpp), pinned by
+// serve_test's byte-identity suite.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "birp/runtime/mpsc_ring.hpp"
-#include "birp/runtime/slab.hpp"
-#include "birp/runtime/timer_wheel.hpp"
 #include "birp/serve/request.hpp"
 #include "birp/util/stats.hpp"
 
@@ -82,44 +76,22 @@ class AdmissionQueue {
   /// An empty queue; reset() before use (the engine's reuse path).
   AdmissionQueue() = default;
 
-  /// Convenience form (tests, one-shot callers): resets and stages the
-  /// whole stream. `stream` must be sorted by (available_s, app, origin,
-  /// seq). `capacity` <= 0 means unbounded.
+  /// One-shot form (tests, benches): constructs and reset()s.
   AdmissionQueue(int apps, const std::vector<ServeItem>& stream,
                  std::int64_t capacity, QueuePolicy policy,
                  AdmissionGate gate = {});
 
-  /// Re-arms the queue for a new slot, retaining all storage so steady-
-  /// state reuse allocates nothing. `stream_capacity` sizes the staging
-  /// ring (at least the number of offers this slot will make);
-  /// `timer_origin_s`/`timer_resolution_s` anchor the departure wheel
-  /// (resolution affects performance only, never results).
-  void reset(int apps, std::int64_t capacity, QueuePolicy policy,
-             AdmissionGate gate, std::size_t stream_capacity,
-             double timer_origin_s = 0.0, double timer_resolution_s = 1e-2);
+  /// Re-arms the queue for a new slot and stages `stream`, which must be
+  /// sorted by (available_s, app, origin, seq). `capacity` <= 0 means
+  /// unbounded. Retains all storage, so steady-state reuse allocates
+  /// nothing.
+  void reset(int apps, const std::vector<ServeItem>& stream,
+             std::int64_t capacity, QueuePolicy policy,
+             AdmissionGate gate = {});
 
-  /// Stages one arrival. Safe from multiple producer threads concurrently
-  /// (the MPSC contract); consumption must not start until producers
-  /// quiesce. Items must collectively arrive in (available_s, app, origin,
-  /// seq) order for determinism — the engine stages from one thread in
-  /// sorted order. Returns false when the ring is full (size the ring via
-  /// reset()).
-  bool offer(const ServeItem& item);
-
-  /// Bulk stage: offers `count` items with one ring claim (one CAS) and
-  /// one upstream-counter update per app instead of per item — the
-  /// engine's staging path for a whole slot. Same concurrency contract as
-  /// offer(): safe from multiple producer threads, each producer's batch
-  /// keeps its internal order. Returns true when all `count` items were
-  /// staged; false when the ring ran out of room (the staged prefix
-  /// stays staged and is counted upstream — size the ring via reset()).
-  bool offer_all(const ServeItem* items, std::size_t count);
-
-  /// Pre-carves every internal pool, the per-app tables, and the staging
-  /// ring for `apps` apps and `items` offers, so a subsequent
-  /// reset()+offer()+fill() cycle up to that size never allocates. Call
-  /// while quiescent (construction-time warmup): the ring is
-  /// re-initialized. No-op once capacity suffices.
+  /// Sizes every internal container for `apps` apps and streams of up to
+  /// `items` requests, so a later reset()+fill()+take cycle within that
+  /// size never allocates. No-op once capacity suffices.
   void reserve(int apps, std::size_t items);
 
   /// Processes arrivals chronologically until `app`'s FIFO holds `want`
@@ -134,14 +106,9 @@ class AdmissionQueue {
   [[nodiscard]] bool exhausted(int app) const;
 
   /// Requests of `app` still unprocessed in the stream (not yet admitted
-  /// or dropped): items staged by producers minus items the consumer has
-  /// retired. Exact on the consumer thread once producers have quiesced
-  /// (the consumer-side count is a plain integer the consumer owns, so
-  /// retiring a request costs one increment, not an atomic RMW).
+  /// or dropped).
   [[nodiscard]] std::int64_t upstream(int app) const {
-    return produced_[static_cast<std::size_t>(app)].load(
-               std::memory_order_relaxed) -
-           consumed_[static_cast<std::size_t>(app)];
+    return upstream_[static_cast<std::size_t>(app)];
   }
 
   /// Live, non-owning view of `app`'s waiting FIFO (oldest first). Reads
@@ -150,29 +117,21 @@ class AdmissionQueue {
   /// reference the seed queue returned.
   class WaitingView {
    public:
-    class Iterator {
-     public:
-      Iterator(const runtime::SlabPool<ServeItem>* pool, std::int32_t idx)
-          : pool_(pool), idx_(idx) {}
-      const ServeItem& operator*() const { return (*pool_)[idx_]; }
-      Iterator& operator++() {
-        idx_ = pool_->next_of(idx_);
-        return *this;
-      }
-      bool operator==(const Iterator& other) const noexcept {
-        return idx_ == other.idx_;
-      }
+    using Iterator = const ServeItem*;
 
-     private:
-      const runtime::SlabPool<ServeItem>* pool_;
-      std::int32_t idx_;
-    };
-
-    [[nodiscard]] std::size_t size() const noexcept;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return queue_->fifo(app_).size();
+    }
     [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-    [[nodiscard]] const ServeItem& front() const;
-    [[nodiscard]] Iterator begin() const;
-    [[nodiscard]] Iterator end() const;
+    [[nodiscard]] const ServeItem& front() const { return *begin(); }
+    [[nodiscard]] Iterator begin() const {
+      const auto& f = queue_->fifo(app_);
+      return f.items.data() + f.head;
+    }
+    [[nodiscard]] Iterator end() const {
+      const auto& f = queue_->fifo(app_);
+      return f.items.data() + f.items.size();
+    }
 
    private:
     friend class AdmissionQueue;
@@ -197,6 +156,7 @@ class AdmissionQueue {
   [[nodiscard]] std::vector<ServeItem> take(int app, std::size_t count);
 
   /// Registers that `count` buffered requests leave the queue at `start_s`.
+  /// Dispatch times need not be monotone.
   void on_dispatch(double start_s, std::size_t count);
 
   /// Requests dropped by backpressure so far, in drop order.
@@ -234,14 +194,20 @@ class AdmissionQueue {
   [[nodiscard]] std::vector<ServeItem> drain_waiting();
 
  private:
-  /// One app's intrusive FIFO over the shared slab.
+  /// One app's FIFO: items[head, size) wait, oldest first.
   struct Fifo {
-    std::int32_t head = runtime::kSlabNil;
-    std::int32_t tail = runtime::kSlabNil;
-    std::int64_t size = 0;
+    std::vector<ServeItem> items;
+    std::size_t head = 0;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return items.size() - head;
+    }
   };
+  /// (launch start, requests leaving), ordered as a min-heap on the time.
+  using Departure = std::pair<double, std::int64_t>;
 
   void admit_next();
+  /// Releases the capacity of every departure at or before `time_s`.
+  void release_departures(double time_s);
   /// Applies every pending departure regardless of time (used by the
   /// drains: end-of-slot means all registered launches have started).
   void settle_departures();
@@ -254,26 +220,19 @@ class AdmissionQueue {
   [[nodiscard]] const Fifo& fifo(int app) const {
     return fifos_[static_cast<std::size_t>(app)];
   }
-  void push_fifo(int app, const ServeItem& item);
-  ServeItem pop_fifo(int app);
+  /// Drops `count` requests from the front of `f`, clearing it once empty.
+  static void pop_front(Fifo& f, std::size_t count);
 
   int apps_ = 0;
-  runtime::MpscRing<ServeItem> stream_;  ///< staged arrivals, FIFO
-  /// Per-app count staged into the stream. Atomic so offer() is MPSC-safe;
-  /// a raw array (not a vector) because atomics are neither copyable nor
-  /// movable; grown only when `apps` exceeds the high-water capacity.
-  std::unique_ptr<std::atomic<std::int64_t>[]> produced_;
-  std::size_t upstream_capacity_ = 0;
-  /// Per-app count the consumer retired from the stream; consumer-owned
-  /// plain integers (upstream(app) = produced - consumed).
-  std::vector<std::int64_t> consumed_;
+  std::vector<ServeItem> stream_;  ///< the slot's staged arrivals
+  std::size_t next_ = 0;           ///< first unprocessed stream index
+  std::vector<std::int64_t> upstream_;  ///< per-app unprocessed count
   std::int64_t capacity_ = 0;
   QueuePolicy policy_ = QueuePolicy::kRejectNewest;
   AdmissionGate gate_;
   std::int64_t depth_ = 0;
   std::vector<Fifo> fifos_;
-  runtime::SlabPool<ServeItem> pool_;  ///< backing store for all FIFOs
-  runtime::TimerWheel departures_;     ///< deferred capacity releases
+  std::vector<Departure> departures_;
   std::vector<ServeItem> dropped_;
   std::vector<ServeItem> deadline_shed_;
   util::RunningStats depth_stats_;

@@ -15,6 +15,9 @@
 namespace birp::solver {
 namespace {
 
+/// Values within this distance of an integer are considered integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 /// One branch-and-bound node. Bounds are not stored: each node records a
 /// single bound delta against its parent and the chain is materialized on
 /// demand, so creating a node is O(1) instead of two O(n) vector copies.
@@ -146,8 +149,7 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
   const auto consider = [&](const std::vector<double>& candidate) {
     if (candidate.size() != n) return;
     if (model.max_violation(candidate) > options.lp.tolerance * 10) return;
-    if (model.max_integrality_violation(candidate) >
-        options.integrality_tolerance) {
+    if (model.max_integrality_violation(candidate) > kIntegralityTolerance) {
       return;
     }
     const double obj = model.objective_value(candidate);
@@ -284,7 +286,7 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
       if (lp.objective >= prune_threshold()) continue;
 
       const int branch_var =
-          most_fractional(model, lp.values, options.integrality_tolerance);
+          most_fractional(model, lp.values, kIntegralityTolerance);
       if (branch_var < 0) {
         // Integral LP optimum: new incumbent.
         if (lp.objective < incumbent_objective) {

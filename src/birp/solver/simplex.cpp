@@ -17,6 +17,11 @@
 namespace birp::solver {
 namespace {
 
+/// Threshold partial pivoting acceptance for the sparse engine's LU
+/// factorization: a row is an eligible pivot when it reaches this fraction
+/// of the column maximum.
+constexpr double kLuPivotThreshold = 0.1;
+
 /// Revised simplex over the shared standard form. The basis inverse lives
 /// in a BasisLu eta file; pricing recomputes duals/reduced costs from
 /// BTRAN each iteration (self-correcting, O(nnz)), the ratio test FTRANs
@@ -48,7 +53,7 @@ class RevisedSimplex {
     if (!form_.ok) return;
     init();
     if (!lu_.factorize(form_, form_.basic_cols, options_.pivot_tolerance,
-                       options_.lu_pivot_threshold, form_.basis)) {
+                       kLuPivotThreshold, form_.basis)) {
       return;  // singular: cold fallback
     }
     recompute_basic_values();
@@ -130,7 +135,7 @@ class RevisedSimplex {
   [[nodiscard]] bool refactorize() {
     basic_cols_scratch_.assign(form_.basis.begin(), form_.basis.end());
     if (!lu_.factorize(form_, basic_cols_scratch_, options_.pivot_tolerance,
-                       options_.lu_pivot_threshold, form_.basis)) {
+                       kLuPivotThreshold, form_.basis)) {
       return false;
     }
     recompute_basic_values();

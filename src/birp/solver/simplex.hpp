@@ -85,10 +85,6 @@ struct SimplexOptions {
   /// refactorized from scratch (the file is also rebuilt early when its
   /// fill outgrows the factorization; see BasisLu::should_refactorize).
   int refactor_interval = 96;
-  /// SparseRevised only: threshold partial pivoting acceptance for the LU
-  /// factorization — a row is an eligible pivot when it reaches this
-  /// fraction of the column maximum.
-  double lu_pivot_threshold = 0.1;
 };
 
 /// Solves the LP relaxation of `model` (integrality ignored).

@@ -36,7 +36,6 @@ struct GeneratorConfig {
   int flash_start = -1;               ///< first slot of the crowd; -1 disables
   int flash_duration = 12;            ///< slots the crowd lasts
   double flash_scale = 2.0;           ///< peak extra mean / base mean
-  double flash_edge_fraction = 0.35;  ///< seeded fraction of edges hit
 };
 
 /// Generates a trace for `cluster`'s dimensions.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -545,6 +546,57 @@ TEST_F(ShardedFixture, MergedDecisionConservesSkewedDemandEndToEnd) {
   std::int64_t demanded = 0;
   for (const auto d : state.demand.raw()) demanded += d;
   EXPECT_EQ(accounted, demanded);
+}
+
+/// Forwards to a CellScheduler and records, over every merged decision, the
+/// largest amount by which an edge exports more of an app than it demands.
+class ExportAuditor : public sim::Scheduler {
+ public:
+  explicit ExportAuditor(CellScheduler& inner) : inner_(inner) {}
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override {
+    auto decision = inner_.decide(state);
+    for (int i = 0; i < state.demand.rows(); ++i) {
+      for (int k = 0; k < state.demand.cols(); ++k) {
+        worst_excess_ = std::max(worst_excess_,
+                                 decision.exports(i, k) - state.demand(i, k));
+      }
+    }
+    return decision;
+  }
+  void observe(const sim::SlotFeedback& feedback) override {
+    inner_.observe(feedback);
+  }
+  [[nodiscard]] std::int64_t worst_excess() const { return worst_excess_; }
+
+ private:
+  CellScheduler& inner_;
+  std::int64_t worst_excess_ = 0;
+};
+
+TEST(CellSchedulerMerge, BalancedRunNeverExportsMoreThanLocalDemand) {
+  // A balancer move raises its recipient's demand, and the recipient cell's
+  // MILP may pass that demand on inside the cell. The merge must route such
+  // two-hop exports from the donor: validate_and_repair cancels every export
+  // above an edge's own demand, which turns the requests into drops.
+  const auto config = small_topology_config(32, 4);
+  const auto topology = workload::generate_topology(config);
+  const auto cluster = workload::make_cluster(topology, config);
+  PartitionConfig pc;
+  pc.cells = 8;
+  CellScheduler scheduler(
+      cluster, partition_cluster(cluster, &topology.link_mbps, pc), {});
+  workload::GeneratorConfig gc;
+  gc.slots = 24;
+  gc.seed = 11;
+  gc.mean_per_edge = workload::suggested_mean_per_edge(cluster, 0.7);
+  const auto trace = workload::generate(cluster, gc);
+  ExportAuditor auditor(scheduler);
+  sim::SimulatorConfig sc;
+  sc.threads = 1;
+  (void)sim::Simulator(cluster, trace, sc).run(auditor);
+  EXPECT_GT(scheduler.balancer().moved_total(), 0);
+  EXPECT_EQ(auditor.worst_excess(), 0);
 }
 
 TEST_F(ShardedFixture, ReportsAggregateFallbacksAndName) {

@@ -850,7 +850,7 @@ TEST_F(ServeEngineFixture, FullyShedQueueNeverSealsAnEmptyBatch) {
 }
 
 // ------------------------------------------------- legacy byte-identity ----
-// The ring-backed AdmissionQueue must reproduce the seed implementation's
+// The AdmissionQueue must reproduce the seed implementation's
 // admit/shed/defer stream decision for decision. These tests drive the
 // kept-verbatim LegacyAdmissionQueue and the rewrite through identical
 // seeded op scripts and require every observable to match.
@@ -947,8 +947,13 @@ void run_identity_script(std::int64_t capacity, QueuePolicy policy,
         const auto taken_ring = ring.take(app, count);
         expect_same_items(taken_legacy, taken_ring, "take");
         now_s += 0.1;
-        legacy.on_dispatch(now_s, taken_legacy.size());
-        ring.on_dispatch(now_s, taken_ring.size());
+        // Every third dispatch lands up to 0.45 s before the latest one, so
+        // departure times arrive out of order.
+        const double start_s =
+            rng() % 3 == 0 ? now_s - static_cast<double>(rng() % 10) * 0.05
+                           : now_s;
+        legacy.on_dispatch(start_s, taken_legacy.size());
+        ring.on_dispatch(start_s, taken_ring.size());
         break;
       }
       default:
