@@ -26,9 +26,6 @@ InterCellBalancer::InterCellBalancer(const device::ClusterSpec& cluster,
   util::check(cells >= 1, "InterCellBalancer: cells must be >= 1");
   util::check(config_.move_fraction >= 0.0 && config_.move_fraction <= 1.0,
               "InterCellBalancer: move_fraction must be in [0, 1]");
-  util::check(config_.network_fraction >= 0.0 &&
-                  config_.network_fraction <= 1.0,
-              "InterCellBalancer: network_fraction must be in [0, 1]");
   pressure_.resize(static_cast<std::size_t>(cells));
 }
 
@@ -127,7 +124,6 @@ std::vector<Move> InterCellBalancer::plan(const sim::SlotState& state,
     if (donor < 0 || recipient < 0 || donor_load <= 0) continue;
 
     double budget_mb =
-        config_.network_fraction *
         std::min(cluster_.network_mb(donor), cluster_.network_mb(recipient));
     for (int i = 0; i < I; ++i) {
       if (state.import_avoided(i, recipient)) continue;

@@ -10,9 +10,8 @@
 // move as an inter-cell Flow in the merged decision and, where the
 // recipient cell re-exports moved demand inside the cell, routes that part
 // straight from the donor, so global conservation stays exact and no edge
-// exports more than its own demand. Cell MILPs do not budget the moves'
-// network use, so sim::validate_and_repair may still cancel flows at an
-// edge whose budget they overrun.
+// exports more than its own demand. Each cell plans within the network
+// budget its endpoints' moves leave (SlotState::network_reserved_mb).
 //
 // Everything here is O(cells + devices + apps) straight-line arithmetic in
 // a fixed order — deterministic at any thread count by construction.
@@ -33,11 +32,6 @@ struct BalancerConfig {
   double move_fraction = 0.25;
   /// Donor pressure must exceed recipient pressure by this to trigger a move.
   double pressure_margin = 0.10;
-  /// Fraction of min(donor, recipient) per-slot network budget the balancer
-  /// may spend. Cell-local flows compete for the same budgets inside
-  /// validate_and_repair, so this cap bounds — not eliminates — repair-time
-  /// network cancellation; keep it well under 1.
-  double network_fraction = 0.5;
 };
 
 /// Smoothed per-cell state the balancer steers by.
@@ -62,7 +56,7 @@ class InterCellBalancer {
   /// Plans this slot's moves from the slot demand, edge liveness, hints, and
   /// the smoothed pressure state. Never moves demand from or to a down edge,
   /// never into an edge whose import breaker is open for that app, and never
-  /// more request-MB than network_fraction of either endpoint's slot budget.
+  /// more request-MB than either endpoint's slot network budget.
   [[nodiscard]] std::vector<Move> plan(const sim::SlotState& state,
                                        const Partition& partition);
 

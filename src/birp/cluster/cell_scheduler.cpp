@@ -186,6 +186,20 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
       }
       cs.hints = &hints;
     }
+    // The moves' transfers are charged at both endpoints before the cells
+    // plan, so each cell's MILP budgets only what they leave.
+    if (!moves.empty()) {
+      cs.network_reserved_mb.assign(static_cast<std::size_t>(Kc), 0.0);
+      for (const auto& move : moves) {
+        const double mb = cluster_.zoo().app(move.app).request_mb *
+                          static_cast<double>(move.count);
+        for (const int k : {move.from, move.to}) {
+          if (partition_.cell_of[static_cast<std::size_t>(k)] != c) continue;
+          cs.network_reserved_mb[static_cast<std::size_t>(
+              local_of_[static_cast<std::size_t>(k)])] += mb;
+        }
+      }
+    }
   }
 
   // 3. Solve cells — concurrently when a pool exists. Each future is

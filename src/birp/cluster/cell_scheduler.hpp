@@ -8,7 +8,8 @@
 //      per-cell pressure summaries (straight-line, on the calling thread);
 //   2. the slot state is sliced per cell — demand submatrix, the previous
 //      decision restricted to cell devices, edge_up subvector, guard hints
-//      subgrid — against each cell's own sub-ClusterSpec;
+//      subgrid, and the network MB the moves spend at each cell edge —
+//      against each cell's own sub-ClusterSpec;
 //   3. cells solve concurrently on an optional runtime::ThreadPool, each
 //      with its own warm-start basis, TIR estimators, and fault mask (a
 //      watchdog-degraded cell plans without its MILP, see

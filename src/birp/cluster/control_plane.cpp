@@ -25,19 +25,7 @@ ControlPlane::ControlPlane(const device::ClusterSpec& cluster,
               "ControlPlane: churn_threshold must be >= 1");
   util::check(config_.cooldown_slots >= 0,
               "ControlPlane: cooldown_slots must be >= 0");
-  const int K = cluster_.num_devices();
-  if (config_.partition.custom_cost) {
-    affinity_ = util::Grid2<double>(K, K, 0.0);
-    for (int a = 0; a < K; ++a) {
-      for (int b = a + 1; b < K; ++b) {
-        const double w = config_.partition.custom_cost(a, b);
-        affinity_(a, b) = w;
-        affinity_(b, a) = w;
-      }
-    }
-  } else {
-    affinity_ = build_affinity(cluster_, links, config_.partition.objective);
-  }
+  affinity_ = build_affinity(cluster_, links);
   inner_ = std::make_unique<CellScheduler>(cluster_, plan_partition(),
                                            config_.cell);
   snapshot_baseline();
@@ -70,7 +58,6 @@ Partition ControlPlane::plan_partition() const {
     }
   }
   PartitionConfig sub_config = config_.partition;
-  sub_config.custom_cost = nullptr;  // already baked into affinity_
   sub_config.cells = std::max(1, std::min(config_.partition.cells, n));
   const Partition on_live = partition_affinity(sub, sub_config);
 

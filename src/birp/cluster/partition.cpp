@@ -43,8 +43,7 @@ Partition canonicalize(std::vector<int> cell_of, int cells) {
 }  // namespace
 
 util::Grid2<double> build_affinity(const device::ClusterSpec& cluster,
-                                   const util::Grid2<double>* links,
-                                   PartitionObjective objective) {
+                                   const util::Grid2<double>* links) {
   const int K = cluster.num_devices();
   if (links != nullptr) {
     util::check(links->rows() == K && links->cols() == K,
@@ -59,24 +58,8 @@ util::Grid2<double> build_affinity(const device::ClusterSpec& cluster,
               : std::min(cluster.device(a).bandwidth_mbps,
                          cluster.device(b).bandwidth_mbps);
       if (mbps <= 0.0) continue;  // no link, no affinity
-      double weight = 0.0;
-      switch (objective) {
-        case PartitionObjective::kBalanced:
-          weight = 1.0;
-          break;
-        case PartitionObjective::kBandwidth:
-          weight = mbps;
-          break;
-        case PartitionObjective::kAffinity:
-          // Heterogeneous pairs attract: a fast edge in-cell is what a slow
-          // edge's overload needs, and the link bandwidth scales how much
-          // of that help is actually deliverable per slot.
-          weight = mbps * (1.0 + std::abs(cluster.device(a).accel_speed -
-                                          cluster.device(b).accel_speed));
-          break;
-      }
-      affinity(a, b) = weight;
-      affinity(b, a) = weight;
+      affinity(a, b) = mbps;
+      affinity(b, a) = mbps;
     }
   }
   return affinity;
@@ -217,20 +200,7 @@ Partition partition_affinity(const util::Grid2<double>& affinity,
 Partition partition_cluster(const device::ClusterSpec& cluster,
                             const util::Grid2<double>* links,
                             const PartitionConfig& config) {
-  if (config.custom_cost) {
-    const int K = cluster.num_devices();
-    util::Grid2<double> affinity(K, K, 0.0);
-    for (int a = 0; a < K; ++a) {
-      for (int b = a + 1; b < K; ++b) {
-        const double w = std::max(0.0, config.custom_cost(a, b));
-        affinity(a, b) = w;
-        affinity(b, a) = w;
-      }
-    }
-    return partition_affinity(affinity, config);
-  }
-  const auto affinity = build_affinity(cluster, links, config.objective);
-  return partition_affinity(affinity, config);
+  return partition_affinity(build_affinity(cluster, links), config);
 }
 
 double cut_weight(const Partition& partition,

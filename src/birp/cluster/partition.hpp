@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "birp/device/cluster.hpp"
@@ -22,33 +21,12 @@
 
 namespace birp::cluster {
 
-/// Built-in edge-cost families for the affinity graph.
-enum class PartitionObjective {
-  /// Unit edge weights: the cut minimizes crossing pair count, so the
-  /// partition is shaped by the balance constraint alone.
-  kBalanced,
-  /// Pairwise link bandwidth: high-bandwidth pairs stay in one cell, so the
-  /// cheap redistribution paths survive sharding.
-  kBandwidth,
-  /// Bandwidth x device heterogeneity: pairs with dissimilar accelerator
-  /// speeds attract (a fast edge in-cell is exactly what a slow edge's
-  /// overload needs), weighted by the link that would carry the traffic.
-  kAffinity,
-};
-
-/// Pluggable symmetric pair cost; returns the affinity weight of keeping
-/// devices a and b in the same cell (>= 0).
-using PairCost = std::function<double(int a, int b)>;
-
 struct PartitionConfig {
   int cells = 1;
   /// Cell-size slack: no cell may exceed (1 + tolerance) * K / cells devices
   /// (rounded up, and never below what fitting K devices into `cells` cells
   /// requires).
   double balance_tolerance = 0.15;
-  PartitionObjective objective = PartitionObjective::kBandwidth;
-  /// Overrides `objective` when set (the pluggable cost hook).
-  PairCost custom_cost;
   /// Seeds the initial cell centers; refinement is seed-free.
   std::uint64_t seed = 0xce11;
   /// Maximum Kernighan–Lin refinement sweeps (each sweep visits every node).
@@ -70,21 +48,21 @@ struct Partition {
   }
 };
 
-/// Builds the affinity matrix for `cluster` under `objective`. `links` is
-/// the optional pairwise inter-edge bandwidth graph (workload::Topology);
-/// null falls back to min(endpoint uplink) for every pair — a complete
-/// graph, which keeps the partitioner meaningful for link-less specs.
+/// Builds the affinity matrix for `cluster`: each pair's link bandwidth, so
+/// high-bandwidth pairs stay in one cell and the cheap redistribution paths
+/// survive sharding. `links` is the optional pairwise inter-edge bandwidth
+/// graph (workload::Topology); null falls back to min(endpoint uplink) for
+/// every pair — a complete graph, which keeps the partitioner meaningful
+/// for link-less specs.
 [[nodiscard]] util::Grid2<double> build_affinity(
-    const device::ClusterSpec& cluster, const util::Grid2<double>* links,
-    PartitionObjective objective);
+    const device::ClusterSpec& cluster, const util::Grid2<double>* links);
 
 /// Partitions the nodes of `affinity` (a symmetric K x K weight matrix)
 /// into config.cells cells.
 [[nodiscard]] Partition partition_affinity(const util::Grid2<double>& affinity,
                                            const PartitionConfig& config);
 
-/// Convenience: build_affinity + partition_affinity (custom_cost, when set,
-/// replaces the built-in objective when forming the matrix).
+/// Convenience: build_affinity + partition_affinity.
 [[nodiscard]] Partition partition_cluster(const device::ClusterSpec& cluster,
                                           const util::Grid2<double>* links,
                                           const PartitionConfig& config);

@@ -90,6 +90,8 @@ ProblemOptions BirpScheduler::slot_options(
     options.avoid_import = state.hints->avoid_import;
     options.variant_cap = state.hints->variant_cap;
   }
+  // Inter-cell balancer moves already spend part of the network budget.
+  options.network_reserved_mb = state.network_reserved_mb;
   return options;
 }
 
@@ -174,7 +176,6 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
 void BirpScheduler::observe(const sim::SlotFeedback& feedback) {
   if (!config_.online) return;
   for (const auto& obs : feedback.observations) {
-    observed_batches_.add(static_cast<double>(obs.batch));
     estimators_[estimator_index(obs.device, obs.app, obs.variant)].update(
         obs.observed_tir, obs.batch, feedback.slot);
   }

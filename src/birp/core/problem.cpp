@@ -19,6 +19,26 @@ constexpr double kMaxReservationFraction = 0.5;
 
 }  // namespace
 
+BuiltProblem::BuiltProblem(const device::ClusterSpec& cluster)
+    : x(cluster.num_apps(), cluster.zoo().max_variants(),
+        cluster.num_devices(), -1),
+      z(cluster.num_apps(), cluster.zoo().max_variants(),
+        cluster.num_devices(), -1),
+      e(cluster.num_apps(), cluster.num_devices(), -1),
+      m(cluster.num_apps(), cluster.num_devices(), -1),
+      d(cluster.num_apps(), cluster.num_devices(), -1),
+      w(static_cast<std::size_t>(cluster.num_devices()), -1),
+      kernel_cap(cluster.num_apps(), cluster.zoo().max_variants(),
+                 cluster.num_devices(), 1) {
+  // Peak working-set variable per edge (Eq. 6 with time-sliced execution:
+  // activations are alive only while their launch runs, so the memory
+  // charge is resident weights + the largest in-flight batch footprint).
+  for (int k = 0; k < cluster.num_devices(); ++k) {
+    w[static_cast<std::size_t>(k)] =
+        model.add_continuous("w_k" + std::to_string(k), 0.0, solver::kInfinity);
+  }
+}
+
 BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
                                 const util::Grid2<std::int64_t>& demand,
                                 const sim::SlotDecision* previous,
@@ -26,35 +46,12 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
                                 const ProblemOptions& options) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
-  const int Jmax = cluster.zoo().max_variants();
   util::check(demand.rows() == I && demand.cols() == K,
               "build_slot_problem: demand shape mismatch");
   util::check(options.max_batch >= 1, "build_slot_problem: bad max_batch");
 
-  const auto gamma_of = [&](int k, int i, int j) {
-    return options.gamma_lookup ? options.gamma_lookup(k, i, j)
-                                : cluster.gamma_s(k, i, j);
-  };
-
-  BuiltProblem built{solver::Model{},
-                     util::Grid3<int>(I, Jmax, K, -1),
-                     util::Grid3<int>(I, Jmax, K, -1),
-                     util::Grid2<int>(I, K, -1),
-                     util::Grid2<int>(I, K, -1),
-                     util::Grid2<int>(I, K, -1),
-                     std::vector<int>(static_cast<std::size_t>(K), -1),
-                     util::Grid3<int>(I, Jmax, K, 1)};
+  BuiltProblem built(cluster);
   auto& model = built.model;
-
-  // Peak working-set variable per edge (Eq. 6 with time-sliced execution:
-  // activations are alive only while their launch runs, so the memory
-  // charge is resident weights + the largest in-flight batch footprint).
-  for (int k = 0; k < K; ++k) {
-    built.w[static_cast<std::size_t>(k)] =
-        model.add_continuous("w_k" + std::to_string(k), 0.0, solver::kInfinity);
-  }
-
-  // ---- Variables. ----
   for (int i = 0; i < I; ++i) {
     const int J = cluster.zoo().num_variants(i);
     for (int j = 0; j < J; ++j) {
@@ -99,6 +96,27 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
       }
     }
   }
+
+  // Eq. 25: x * h(b) = gamma * [(1 - eta) z + eta x].
+  const auto charge = [&](int k, int i, int j) {
+    const auto believed = tir(k, i, j);
+    const double gamma = options.gamma_lookup ? options.gamma_lookup(k, i, j)
+                                              : cluster.gamma_s(k, i, j);
+    return ComputeCharge{gamma * (1.0 - believed.eta), gamma * believed.eta};
+  };
+  add_slot_rows(built, cluster, demand, previous, charge, options);
+  return built;
+}
+
+void add_slot_rows(BuiltProblem& built, const device::ClusterSpec& cluster,
+                   const util::Grid2<std::int64_t>& demand,
+                   const sim::SlotDecision* previous,
+                   const ComputeChargeLookup& charge,
+                   const ProblemOptions& options) {
+  const int I = cluster.num_apps();
+  const int K = cluster.num_devices();
+  auto& model = built.model;
+
   for (int i = 0; i < I; ++i) {
     const double penalty = kDropPenaltyFactor * cluster.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
@@ -166,11 +184,9 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
              {built.w[static_cast<std::size_t>(k)], -1.0}},
             solver::Relation::LessEqual, 0.0);
 
-        // Eq. 25: x * h(b) = gamma * [(1 - eta) z + eta x].
-        const auto believed = tir(k, i, j);
-        const double gamma = gamma_of(k, i, j);
-        compute.push_back({built.z(i, j, k), gamma * (1.0 - believed.eta)});
-        compute.push_back({built.x(i, j, k), gamma * believed.eta});
+        const ComputeCharge cost = charge(k, i, j);
+        compute.push_back({built.z(i, j, k), cost.per_request});
+        compute.push_back({built.x(i, j, k), cost.per_deployment});
 
         // Eq. 9's switch term [x_t - x_{t-1}]+: newly deployed models ship
         // compressed weights; retained deployments are free. At t = 0
@@ -193,23 +209,10 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
     model.add_constraint(compute, solver::Relation::LessEqual, cluster.tau_s(),
                          "compute_k" + std::to_string(k));
     model.add_constraint(network, solver::Relation::LessEqual,
-                         cluster.network_mb(k), "network_k" + std::to_string(k));
+                         cluster.network_mb(k) - options.reserved_mb(k),
+                         "network_k" + std::to_string(k));
   }
-
-  return built;
 }
-
-namespace {
-
-/// Per-edge running budgets during heuristic plan construction.
-struct EdgeBudget {
-  double weights_mb = 0.0;   ///< resident weights of deployed variants
-  double peak_mb = 0.0;      ///< largest in-flight activation footprint
-  double compute_s = 0.0;    ///< believed compute (Eq. 25 left-hand side)
-  double network_mb = 0.0;   ///< switch + flow charges (Eq. 9)
-};
-
-}  // namespace
 
 std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
                                         std::span<const double> lp_values,
@@ -240,10 +243,16 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
   decision.kernel.fill(0);
   decision.drops.fill(0);
 
-  std::vector<EdgeBudget> budget(static_cast<std::size_t>(K));
+  // Memory and network follow the validator's budget model; compute is
+  // BIRP's believed Eq. 25 charge.
+  std::vector<sim::EdgeBudget> budget;
+  budget.reserve(static_cast<std::size_t>(K));
+  std::vector<double> compute_s(static_cast<std::size_t>(K), 0.0);
   for (int k = 0; k < K; ++k) {
+    budget.emplace_back(cluster, k);
     // Flow charges are fixed for this candidate (both endpoints pay).
-    budget[static_cast<std::size_t>(k)].network_mb =
+    budget.back().network_mb =
+        options.reserved_mb(k) +
         sim::decision_network_mb(cluster, decision, previous, k);
   }
 
@@ -274,30 +283,39 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
     return cluster.zoo().variant(i, j).intermediate_mb *
            static_cast<double>(kernel_cap(k, i, j));
   };
+  // Largest reservation among the deployments serving on edge k.
+  const auto peak_mb = [&](int k) {
+    double peak = 0.0;
+    for (int i = 0; i < I; ++i) {
+      const int J = cluster.zoo().num_variants(i);
+      for (int j = 0; j < J; ++j) {
+        if (decision.served(i, j, k) > 0) {
+          peak = std::max(peak, reserve_mb(k, i, j));
+        }
+      }
+    }
+    return peak;
+  };
 
   // How many extra requests (i, j, k) can absorb under every budget.
   const auto headroom = [&](int k, int i, int j) -> std::int64_t {
     if (!options.is_up(k)) return 0;  // down edge: nothing serves here
     if (!options.variant_allowed(i, j)) return 0;  // above the ladder cap
     const auto& b = budget[static_cast<std::size_t>(k)];
-    const auto& variant = cluster.zoo().variant(i, j);
     const auto z = decision.served(i, j, k);
     const bool fresh = z == 0;
-    const double weights_after =
-        b.weights_mb + (fresh ? variant.weights_mb : 0.0);
-    const double peak_after =
-        fresh ? std::max(b.peak_mb, reserve_mb(k, i, j)) : b.peak_mb;
-    if (weights_after + peak_after > cluster.memory_mb(k) + 1e-9) return 0;
+    if (!b.fits_memory(fresh ? cluster.zoo().variant(i, j).weights_mb : 0.0,
+                       fresh ? reserve_mb(k, i, j) : 0.0)) {
+      return 0;
+    }
     // Only deployments that actually ship weights consume network budget;
     // a pre-existing flow-rounding overshoot (repaired by the validator
     // afterwards) must not veto free deployments.
     const double switch_cost = fresh ? switch_mb(k, i, j) : 0.0;
-    if (switch_cost > 0.0 &&
-        b.network_mb + switch_cost > cluster.network_mb(k) + 1e-9) {
-      return 0;
-    }
+    if (switch_cost > 0.0 && !b.fits_network(switch_cost)) return 0;
     const auto by_cap = static_cast<std::int64_t>(serve_cap(k, i, j)) - z;
-    const double compute_left = cluster.tau_s() - b.compute_s -
+    const double compute_left = cluster.tau_s() -
+                                compute_s[static_cast<std::size_t>(k)] -
                                 (fresh ? fixed_s(k, i, j) : 0.0);
     const auto by_compute = static_cast<std::int64_t>(
         std::floor(compute_left / marginal_s(k, i, j)));
@@ -305,44 +323,33 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
   };
   const auto commit = [&](int k, int i, int j, std::int64_t add) {
     auto& b = budget[static_cast<std::size_t>(k)];
-    const auto& variant = cluster.zoo().variant(i, j);
+    auto& compute = compute_s[static_cast<std::size_t>(k)];
     const auto z = decision.served(i, j, k);
     if (z == 0) {
-      b.weights_mb += variant.weights_mb;
+      b.deploy(cluster.zoo().variant(i, j).weights_mb, reserve_mb(k, i, j));
       b.network_mb += switch_mb(k, i, j);
-      b.compute_s += fixed_s(k, i, j);
+      compute += fixed_s(k, i, j);
     }
-    b.compute_s += marginal_s(k, i, j) * static_cast<double>(add);
+    compute += marginal_s(k, i, j) * static_cast<double>(add);
     decision.served(i, j, k) = z + add;
     decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
         z + add, kernel_cap(k, i, j)));
-    b.peak_mb = std::max(b.peak_mb, reserve_mb(k, i, j));
-    (void)variant;
   };
   const auto release = [&](int k, int i, int j, std::int64_t remove) {
     auto& b = budget[static_cast<std::size_t>(k)];
-    const auto& variant = cluster.zoo().variant(i, j);
+    auto& compute = compute_s[static_cast<std::size_t>(k)];
     const auto z = decision.served(i, j, k) - remove;
     decision.served(i, j, k) = z;
     decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
         z, kernel_cap(k, i, j)));
-    b.compute_s -= marginal_s(k, i, j) * static_cast<double>(remove);
+    compute -= marginal_s(k, i, j) * static_cast<double>(remove);
     if (z == 0) {
-      b.weights_mb -= variant.weights_mb;
+      b.weights_mb -= cluster.zoo().variant(i, j).weights_mb;
       b.network_mb -= switch_mb(k, i, j);
-      b.compute_s -= fixed_s(k, i, j);
+      compute -= fixed_s(k, i, j);
     }
     // Peak may shrink when a deployment empties: recompute exactly.
-    double peak = 0.0;
-    for (int ii = 0; ii < I; ++ii) {
-      const int J = cluster.zoo().num_variants(ii);
-      for (int jj = 0; jj < J; ++jj) {
-        if (decision.served(ii, jj, k) > 0) {
-          peak = std::max(peak, reserve_mb(k, ii, jj));
-        }
-      }
-    }
-    b.peak_mb = peak;
+    b.peak_mb = peak_mb(k);
   };
 
   // ---- Phase 1a: LP-guided fill. The relaxation already balanced loss
@@ -465,17 +472,8 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
   }
   for (int k = 0; k < K; ++k) {
     // Recomputed from the final decision: the validator may have adjusted it.
-    double peak = 0.0;
-    for (int i = 0; i < I; ++i) {
-      const int J = cluster.zoo().num_variants(i);
-      for (int j = 0; j < J; ++j) {
-        if (decision.served(i, j, k) > 0) {
-          peak = std::max(peak, reserve_mb(k, i, j));
-        }
-      }
-    }
     values[static_cast<std::size_t>(problem.w[static_cast<std::size_t>(k)])] =
-        peak;
+        peak_mb(k);
   }
   return values;
 }

@@ -78,6 +78,11 @@ struct ProblemOptions {
   /// cheapest first, so the ladder removes the most expensive variants).
   /// Disallowed variants get their serving and deployment pinned to zero.
   std::vector<int> variant_cap;
+  /// Network MB per edge already spent this slot outside this problem (empty
+  /// = none): a CellScheduler cell's share of the balancer's inter-cell
+  /// moves. The network rows plan within network_mb(k) minus it, and the
+  /// heuristic's budget starts with it charged.
+  std::vector<double> network_reserved_mb;
 
   /// Liveness of edge k under the "empty means all up" rule.
   [[nodiscard]] bool is_up(int k) const noexcept {
@@ -95,10 +100,20 @@ struct ProblemOptions {
     const int cap = variant_cap[static_cast<std::size_t>(i)];
     return cap < 0 || j <= cap;
   }
+  /// Reserved network MB of edge k under the "empty means none" rule.
+  [[nodiscard]] double reserved_mb(int k) const noexcept {
+    return network_reserved_mb.empty()
+               ? 0.0
+               : network_reserved_mb[static_cast<std::size_t>(k)];
+  }
 };
 
 /// A built model plus the variable index maps needed to read a solution.
 struct BuiltProblem {
+  /// Unset index maps sized for `cluster`, kernel caps of 1, and the per-edge
+  /// peak working-set variables w, which come first in the model.
+  explicit BuiltProblem(const device::ClusterSpec& cluster);
+
   solver::Model model;
   util::Grid3<int> x;  ///< [app][variant][device] -> binary var index
   util::Grid3<int> z;  ///< [app][variant][device] -> integer var index
@@ -112,6 +127,27 @@ struct BuiltProblem {
   /// counts into launch sizes.
   util::Grid3<int> kernel_cap;
 };
+
+/// Believed compute seconds a deployment charges its edge (Eq. 25's
+/// linearization): per_request * z + per_deployment * x.
+struct ComputeCharge {
+  double per_request = 0.0;
+  double per_deployment = 0.0;
+};
+using ComputeChargeLookup =
+    std::function<ComputeCharge(int device, int app, int variant)>;
+
+/// The rows BIRP's slot problem and OAEI's LP share, added to `built` once
+/// its x and z variables and kernel caps exist: the export, import and drop
+/// variables (bounded by the liveness mask and breaker hints of `options`),
+/// conservation (Eq. 3 + Eq. 5), per-app flow balance, and per edge the
+/// activation reservations and memory (Eq. 6), compute (`charge`) and
+/// network (Eq. 13/14, within the reserved MB) rows.
+void add_slot_rows(BuiltProblem& built, const device::ClusterSpec& cluster,
+                   const util::Grid2<std::int64_t>& demand,
+                   const sim::SlotDecision* previous,
+                   const ComputeChargeLookup& charge,
+                   const ProblemOptions& options);
 
 /// Builds the slot problem. `previous` may be null (slot 0): all deployments
 /// then pay the model-switch network cost, matching P1ᵗ.

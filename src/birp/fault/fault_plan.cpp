@@ -173,43 +173,6 @@ FaultPlan FaultPlan::degraded_bandwidth(int device, int from_slot, int to_slot,
   return plan;
 }
 
-FaultPlan FaultPlan::generate(const FaultPlanOptions& options) {
-  util::check(options.slots >= 0 && options.devices >= 0,
-              "FaultPlan: negative horizon or device count");
-  FaultPlan plan;
-  for (int k = 0; k < options.devices; ++k) {
-    // One independent stream per device so adding a device does not perturb
-    // the others' fault history.
-    util::Xoshiro256StarStar rng(options.seed ^
-                                 (0x9e3779b97f4a7c15ULL *
-                                  (static_cast<std::uint64_t>(k) + 1)));
-    int busy_until = 0;  // no overlapping outages on one device
-    for (int t = 0; t < options.slots; ++t) {
-      if (t >= busy_until && rng.bernoulli(options.crash_rate)) {
-        const int len = static_cast<int>(rng.uniform_int(
-            options.min_outage_slots, options.max_outage_slots));
-        plan.add_down(k, t, std::min(t + len, options.slots));
-        busy_until = t + len;
-      }
-      if (rng.bernoulli(options.degrade_rate)) {
-        const int len = static_cast<int>(rng.uniform_int(
-            options.min_degrade_slots, options.max_degrade_slots));
-        const double factor =
-            rng.uniform(options.min_bandwidth_factor, 1.0);
-        plan.add_bandwidth(k, t, std::min(t + len, options.slots), factor);
-      }
-      if (rng.bernoulli(options.straggler_rate)) {
-        const int len = static_cast<int>(rng.uniform_int(
-            options.min_straggler_slots, options.max_straggler_slots));
-        const double factor =
-            rng.uniform(1.0, options.max_straggler_factor);
-        plan.add_straggler(k, t, std::min(t + len, options.slots), factor);
-      }
-    }
-  }
-  return plan;
-}
-
 FaultPlan FaultPlan::generate_correlated(
     const CorrelatedFailureOptions& options) {
   util::check(options.slots >= 0 && options.devices >= 0,

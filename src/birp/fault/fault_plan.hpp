@@ -62,28 +62,6 @@ struct FaultEvent {
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
 
-/// Seeded random plan generation: each device independently enters outages,
-/// bandwidth dips, and straggler episodes with per-slot hazard rates.
-struct FaultPlanOptions {
-  int slots = 0;
-  int devices = 0;
-  std::uint64_t seed = 0xfa017;
-  /// Per-slot probability that an idle device starts an outage.
-  double crash_rate = 0.0;
-  int min_outage_slots = 5;
-  int max_outage_slots = 30;
-  /// Per-slot probability that a device starts a bandwidth dip.
-  double degrade_rate = 0.0;
-  double min_bandwidth_factor = 0.25;
-  int min_degrade_slots = 10;
-  int max_degrade_slots = 60;
-  /// Per-slot probability that a device starts a straggler episode.
-  double straggler_rate = 0.0;
-  double max_straggler_factor = 3.0;
-  int min_straggler_slots = 10;
-  int max_straggler_slots = 60;
-};
-
 /// Seeded correlated-failure storms: devices are grouped into racks of
 /// `group_size` consecutive ids; a storm takes down a seeded fraction of one
 /// rack at once (shared root_cause id), recovery arrives as a staggered wave,
@@ -155,8 +133,6 @@ class FaultPlan {
   /// Canonical scenario: bandwidth multiplied by `factor` on [from, to).
   [[nodiscard]] static FaultPlan degraded_bandwidth(int device, int from_slot,
                                                     int to_slot, double factor);
-  /// Seeded random plan; same options -> same plan.
-  [[nodiscard]] static FaultPlan generate(const FaultPlanOptions& options);
   /// Seeded correlated-failure storms; same options -> same plan.
   [[nodiscard]] static FaultPlan generate_correlated(
       const CorrelatedFailureOptions& options);

@@ -3,23 +3,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "birp/sim/validate.hpp"
 #include "birp/util/check.hpp"
 
 namespace birp::sched {
-namespace {
-
-/// Greedy per-edge ledger while packing B0 chunks. Memory follows the
-/// time-sliced model: resident weights sum, activations charged at the peak
-/// in-flight B0 batch.
-struct EdgeLedger {
-  double compute_left = 0.0;
-  double memory_mb = 0.0;
-  double weights_used = 0.0;
-  double peak_mu = 0.0;
-  double network_left = 0.0;
-};
-
-}  // namespace
 
 MaxScheduler::MaxScheduler(const device::ClusterSpec& cluster, MaxConfig config)
     : cluster_(cluster), config_(config) {
@@ -36,24 +23,25 @@ sim::SlotDecision MaxScheduler::decide(const sim::SlotState& state) {
   // inefficiency at low load).
   decision.pad_partial_launches = true;
 
-  std::vector<EdgeLedger> ledger(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    auto& l = ledger[static_cast<std::size_t>(k)];
-    l.compute_left = cluster_.tau_s();
-    l.memory_mb = cluster_.memory_mb(k);
-    l.network_left = cluster_.network_mb(k);
-  }
+  // Memory and network follow the validator's budget model with a B0
+  // activation reservation; compute is MAX's padded-launch timing.
+  std::vector<sim::EdgeBudget> budget;
+  budget.reserve(static_cast<std::size_t>(K));
+  std::vector<double> compute_left(static_cast<std::size_t>(K),
+                                   cluster_.tau_s());
+  for (int k = 0; k < K; ++k) budget.emplace_back(cluster_, k);
 
   // Tries to place one chunk of `count` requests of app i on edge `to`
   // (origin `from`); returns the chosen variant or -1.
   const auto try_place = [&](int i, int from, int to,
                              std::int64_t count) -> int {
-    auto& lto = ledger[static_cast<std::size_t>(to)];
-    auto& lfrom = ledger[static_cast<std::size_t>(from)];
-    const double zeta = cluster_.zoo().app(i).request_mb;
-    const double transfer_mb = zeta * static_cast<double>(count);
-    if (from != to &&
-        (transfer_mb > lfrom.network_left || transfer_mb > lto.network_left)) {
+    auto& bto = budget[static_cast<std::size_t>(to)];
+    auto& bfrom = budget[static_cast<std::size_t>(from)];
+    const double transfer_mb =
+        from != to ? cluster_.zoo().app(i).request_mb *
+                         static_cast<double>(count)
+                   : 0.0;
+    if (!bfrom.fits_network(transfer_mb) || !bto.fits_network(transfer_mb)) {
       return -1;
     }
 
@@ -62,11 +50,9 @@ sim::SlotDecision MaxScheduler::decide(const sim::SlotState& state) {
     for (int j = J - 1; j >= 0; --j) {
       const auto& variant = cluster_.zoo().variant(i, j);
       const bool already = decision.deployed(i, j, to);
-      const double new_weights =
-          lto.weights_used + (already ? 0.0 : variant.weights_mb);
-      const double new_peak =
-          std::max(lto.peak_mu,
-                   variant.intermediate_mb * static_cast<double>(B0));
+      const double weights = already ? 0.0 : variant.weights_mb;
+      const double reserve_mb =
+          variant.intermediate_mb * static_cast<double>(B0);
       const bool was_deployed =
           state.previous == nullptr || state.previous->deployed(i, j, to);
       const double switch_cost =
@@ -76,20 +62,17 @@ sim::SlotDecision MaxScheduler::decide(const sim::SlotState& state) {
       const double launch_s =
           cluster_.oracle_tir(to, i, j).batch_time(cluster_.gamma_s(to, i, j),
                                                    B0);
-      if (new_weights + new_peak > lto.memory_mb) continue;
-      if (switch_cost > lto.network_left - (from != to ? transfer_mb : 0.0)) {
-        continue;
-      }
-      if (launch_s > lto.compute_left) continue;
+      auto& compute = compute_left[static_cast<std::size_t>(to)];
+      if (!bto.fits_memory(weights, reserve_mb)) continue;
+      if (!bto.fits_network(switch_cost + transfer_mb)) continue;
+      if (launch_s > compute) continue;
 
       // Commit.
-      lto.weights_used = new_weights;
-      lto.peak_mu = new_peak;
-      lto.network_left -= switch_cost;
-      lto.compute_left -= launch_s;
+      bto.deploy(weights, reserve_mb);
+      bto.network_mb += switch_cost + transfer_mb;
+      compute -= launch_s;
       if (from != to) {
-        lfrom.network_left -= transfer_mb;
-        lto.network_left -= transfer_mb;
+        bfrom.network_mb += transfer_mb;
         decision.flows.push_back({i, from, to, count});
       }
       decision.served(i, j, to) += count;
@@ -112,8 +95,8 @@ sim::SlotDecision MaxScheduler::decide(const sim::SlotState& state) {
             if (kk != k) order.push_back(kk);
           }
           std::sort(order.begin(), order.end(), [&](int a, int b) {
-            return ledger[static_cast<std::size_t>(a)].compute_left >
-                   ledger[static_cast<std::size_t>(b)].compute_left;
+            return compute_left[static_cast<std::size_t>(a)] >
+                   compute_left[static_cast<std::size_t>(b)];
           });
           for (const int kk : order) {
             placed = try_place(i, k, kk, chunk);

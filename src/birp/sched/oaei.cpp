@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "birp/core/problem.hpp"
+#include "birp/sim/validate.hpp"
 #include "birp/util/check.hpp"
 
 namespace birp::sched {
@@ -13,144 +14,62 @@ namespace {
 /// EWMA smoothing for the capacity-correction factor.
 constexpr double kCapacitySmoothing = 0.2;
 
+/// Seed of the model-selection rounding stream.
+constexpr std::uint64_t kRoundingSeed = 0x0ae1;
+
 /// Builds OAEI's serial-execution LP into the shared BuiltProblem shape so
-/// core::extract_decision can read the solution. Differences from BIRP's
-/// problem: x is relaxed to [0,1]; z carries served counts with a big-M link
-/// (serial execution has no per-deployment batch cap); memory charges
-/// batch-1 intermediates; compute charges gamma per request with the learned
-/// capacity factor (no TIR speedup — execution is serial).
+/// core::extract_decision can read the solution; core::add_slot_rows adds
+/// the rows it shares with BIRP's problem. What differs: x is relaxed to
+/// [0,1]; z links to x with a big-M of the app's cluster-wide demand (serial
+/// execution has no per-deployment batch cap); kernel caps stay 1, so memory
+/// reserves batch-1 activations; compute charges gamma per request with the
+/// learned capacity factor (no TIR speedup — execution is serial).
 core::BuiltProblem build_oaei_problem(
     const device::ClusterSpec& cluster,
     const util::Grid2<std::int64_t>& demand, const sim::SlotDecision* previous,
     const std::vector<double>& capacity_factor) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
-  const int Jmax = cluster.zoo().max_variants();
-
-  core::BuiltProblem built{solver::Model{},
-                           util::Grid3<int>(I, Jmax, K, -1),
-                           util::Grid3<int>(I, Jmax, K, -1),
-                           util::Grid2<int>(I, K, -1),
-                           util::Grid2<int>(I, K, -1),
-                           util::Grid2<int>(I, K, -1),
-                           std::vector<int>(static_cast<std::size_t>(K), -1),
-                           // Serial execution: every launch is batch 1.
-                           util::Grid3<int>(I, Jmax, K, 1)};
+  core::BuiltProblem built(cluster);
   auto& model = built.model;
 
-  // Peak working-set per edge (serial execution -> batch-1 footprints).
-  for (int k = 0; k < K; ++k) {
-    built.w[static_cast<std::size_t>(k)] =
-        model.add_continuous("w_k" + std::to_string(k), 0.0, solver::kInfinity);
-  }
-
-  // Cluster-wide demand per app bounds any single deployment's share.
-  std::vector<double> app_demand(static_cast<std::size_t>(I), 0.0);
   for (int i = 0; i < I; ++i) {
+    // Cluster-wide demand per app bounds any single deployment's share.
+    double app_demand = 0.0;
     for (int k = 0; k < K; ++k) {
-      app_demand[static_cast<std::size_t>(i)] +=
-          static_cast<double>(demand(i, k));
+      app_demand += static_cast<double>(demand(i, k));
     }
-  }
-
-  for (int i = 0; i < I; ++i) {
     const int J = cluster.zoo().num_variants(i);
     for (int j = 0; j < J; ++j) {
-      const auto& variant = cluster.zoo().variant(i, j);
       for (int k = 0; k < K; ++k) {
         const std::string tag = "_i" + std::to_string(i) + "j" +
                                 std::to_string(j) + "k" + std::to_string(k);
         built.x(i, j, k) = model.add_continuous("x" + tag, 0.0, 1.0);
-        built.z(i, j, k) = model.add_continuous(
-            "n" + tag, 0.0, app_demand[static_cast<std::size_t>(i)]);
-        model.set_objective(built.z(i, j, k), variant.loss);
+        built.z(i, j, k) = model.add_continuous("n" + tag, 0.0, app_demand);
+        model.set_objective(built.z(i, j, k), cluster.zoo().variant(i, j).loss);
         // n <= D_i * x : serving requires deployment.
-        model.add_constraint(
-            {{built.z(i, j, k), 1.0},
-             {built.x(i, j, k), -app_demand[static_cast<std::size_t>(i)]}},
-            solver::Relation::LessEqual, 0.0, "link" + tag);
+        model.add_constraint({{built.z(i, j, k), 1.0},
+                              {built.x(i, j, k), -app_demand}},
+                             solver::Relation::LessEqual, 0.0, "link" + tag);
       }
     }
   }
-  for (int i = 0; i < I; ++i) {
-    const double penalty =
-        core::kDropPenaltyFactor * cluster.zoo().worst_loss(i);
-    for (int k = 0; k < K; ++k) {
-      const std::string tag = "_i" + std::to_string(i) + "k" + std::to_string(k);
-      built.e(i, k) = model.add_continuous(
-          "e" + tag, 0.0, static_cast<double>(demand(i, k)));
-      built.m(i, k) = model.add_continuous("m" + tag, 0.0, solver::kInfinity);
-      built.d(i, k) = model.add_continuous("d" + tag, 0.0, solver::kInfinity);
-      model.set_objective(built.d(i, k), penalty);
-    }
-  }
 
-  for (int i = 0; i < I; ++i) {
-    const int J = cluster.zoo().num_variants(i);
-    for (int k = 0; k < K; ++k) {
-      std::vector<solver::Term> terms;
-      for (int j = 0; j < J; ++j) terms.push_back({built.z(i, j, k), 1.0});
-      terms.push_back({built.d(i, k), 1.0});
-      terms.push_back({built.e(i, k), 1.0});
-      terms.push_back({built.m(i, k), -1.0});
-      model.add_constraint(terms, solver::Relation::Equal,
-                           static_cast<double>(demand(i, k)));
-    }
-  }
-  for (int i = 0; i < I; ++i) {
-    std::vector<solver::Term> terms;
-    for (int k = 0; k < K; ++k) {
-      terms.push_back({built.e(i, k), 1.0});
-      terms.push_back({built.m(i, k), -1.0});
-    }
-    model.add_constraint(terms, solver::Relation::Equal, 0.0);
-  }
-
-  for (int k = 0; k < K; ++k) {
-    std::vector<solver::Term> memory;
-    std::vector<solver::Term> compute;
-    std::vector<solver::Term> network;
-    for (int i = 0; i < I; ++i) {
-      const int J = cluster.zoo().num_variants(i);
-      for (int j = 0; j < J; ++j) {
-        const auto& variant = cluster.zoo().variant(i, j);
-        memory.push_back({built.x(i, j, k), variant.weights_mb});
-        // Serial launches: batch-1 activations, only the largest alive.
-        model.add_constraint({{built.x(i, j, k), variant.intermediate_mb},
-                              {built.w[static_cast<std::size_t>(k)], -1.0}},
-                             solver::Relation::LessEqual, 0.0);
-        compute.push_back({built.z(i, j, k),
-                           cluster.gamma_s(k, i, j) *
-                               capacity_factor[static_cast<std::size_t>(k)]});
-        // t = 0: models staged before the experiment (P1 / Eq. 13).
-        const bool was_deployed =
-            previous == nullptr || previous->deployed(i, j, k);
-        if (!was_deployed) {
-          network.push_back({built.x(i, j, k), variant.compressed_mb});
-        }
-      }
-      const double zeta = cluster.zoo().app(i).request_mb;
-      network.push_back({built.e(i, k), zeta});
-      network.push_back({built.m(i, k), zeta});
-    }
-    memory.push_back({built.w[static_cast<std::size_t>(k)], 1.0});
-    model.add_constraint(memory, solver::Relation::LessEqual,
-                         cluster.memory_mb(k));
-    model.add_constraint(compute, solver::Relation::LessEqual,
-                         cluster.tau_s());
-    model.add_constraint(network, solver::Relation::LessEqual,
-                         cluster.network_mb(k));
-  }
+  const auto charge = [&](int k, int i, int j) {
+    return core::ComputeCharge{
+        cluster.gamma_s(k, i, j) *
+            capacity_factor[static_cast<std::size_t>(k)],
+        0.0};
+  };
+  core::add_slot_rows(built, cluster, demand, previous, charge, {});
   return built;
 }
 
 }  // namespace
 
-OaeiScheduler::OaeiScheduler(const device::ClusterSpec& cluster,
-                             OaeiConfig config)
+OaeiScheduler::OaeiScheduler(const device::ClusterSpec& cluster)
     : cluster_(cluster),
-      config_(config),
-      rng_(config.rounding_seed),
+      rng_(kRoundingSeed),
       capacity_factor_(static_cast<std::size_t>(cluster.num_devices()), 1.0),
       predicted_busy_s_(static_cast<std::size_t>(cluster.num_devices()), 0.0) {}
 
@@ -165,7 +84,7 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
 
   core::BuiltProblem problem = build_oaei_problem(
       cluster_, state.demand, state.previous, capacity_factor_);
-  const solver::Solution relaxed = solver::solve_lp(problem.model, config_.lp);
+  const solver::Solution relaxed = solver::solve_lp(problem.model);
 
   sim::SlotDecision decision(I, cluster_.zoo().max_variants(), K);
   if (!relaxed.usable()) {
@@ -183,12 +102,11 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
     upper[static_cast<std::size_t>(v)] = problem.model.variable(v).upper;
   }
 
-  std::vector<double> weights_used(static_cast<std::size_t>(K), 0.0);
-  std::vector<double> peak_mu(static_cast<std::size_t>(K), 0.0);
-  std::vector<double> network_left(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    network_left[static_cast<std::size_t>(k)] = cluster_.network_mb(k);
-  }
+  // Memory and network follow the validator's budget model with batch-1
+  // activation reservations.
+  std::vector<sim::EdgeBudget> budget;
+  budget.reserve(static_cast<std::size_t>(K));
+  for (int k = 0; k < K; ++k) budget.emplace_back(cluster_, k);
 
   // Model selection with randomized rounding, the defining element of [19]:
   // each (app, edge) selects exactly ONE model version, sampled from the
@@ -241,19 +159,17 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
         total -= weight[static_cast<std::size_t>(j)];
 
         const auto& variant = cluster_.zoo().variant(i, j);
-        const auto kk = static_cast<std::size_t>(k);
-        const double new_weights = weights_used[kk] + variant.weights_mb;
-        const double new_peak =
-            std::max(peak_mu[kk], variant.intermediate_mb);
+        auto& b = budget[static_cast<std::size_t>(k)];
         const bool was_deployed =
             state.previous == nullptr || state.previous->deployed(i, j, k);
         const double net_cost = was_deployed ? 0.0 : variant.compressed_mb;
-        if (new_weights + new_peak > cluster_.memory_mb(k)) continue;
-        if (net_cost > network_left[kk]) continue;
+        if (!b.fits_memory(variant.weights_mb, variant.intermediate_mb)) {
+          continue;
+        }
+        if (!b.fits_network(net_cost)) continue;
 
-        weights_used[kk] = new_weights;
-        peak_mu[kk] = new_peak;
-        network_left[kk] -= net_cost;
+        b.deploy(variant.weights_mb, variant.intermediate_mb);
+        b.network_mb += net_cost;
         const int xv = problem.x(i, j, k);
         lower[static_cast<std::size_t>(xv)] = 1.0;
         upper[static_cast<std::size_t>(xv)] = 1.0;
@@ -265,7 +181,7 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
   // --- Second stage: request placement with deployments fixed. Always
   //     feasible (drops absorb everything). ---
   const solver::Solution fixed =
-      solver::solve_lp(problem.model, lower, upper, config_.lp);
+      solver::solve_lp(problem.model, lower, upper);
   if (!fixed.usable()) return decision;
 
   decision = core::extract_decision(problem, fixed, cluster_, state.demand);

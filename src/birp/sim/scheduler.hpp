@@ -56,6 +56,10 @@ struct SlotState {
   std::vector<std::uint8_t> edge_up;
   /// Advisory overload-protection hints (null = none active this slot).
   const SchedulerHints* hints = nullptr;
+  /// Network MB per edge already spent this slot before the scheduler plans
+  /// (empty = none). Derived, not a knob: CellScheduler sets it for each
+  /// cell to the request MB of the balancer moves touching the edge.
+  std::vector<double> network_reserved_mb;
 
   /// Hint accessors under the "null/empty means unconstrained" rule.
   [[nodiscard]] bool import_avoided(int i, int k) const noexcept {

@@ -34,21 +34,31 @@ double decision_network_mb(const device::ClusterSpec& cluster,
   return cost;
 }
 
-double decision_memory_mb(const device::ClusterSpec& cluster,
+namespace {
+
+/// `decision`'s deployments on edge k charged to a fresh budget: resident
+/// weights plus each executed kernel's activation reservation.
+EdgeBudget memory_charged(const device::ClusterSpec& cluster,
                           const SlotDecision& decision, int k) {
-  double weights = 0.0;
-  double peak = 0.0;
+  EdgeBudget budget(cluster, k);
   for (int i = 0; i < cluster.num_apps(); ++i) {
     const int variants = cluster.zoo().num_variants(i);
     for (int j = 0; j < variants; ++j) {
       if (!decision.deployed(i, j, k)) continue;
       const auto& variant = cluster.zoo().variant(i, j);
-      weights += variant.weights_mb;
-      peak = std::max(peak, variant.intermediate_mb *
-                                static_cast<double>(decision.kernel(i, j, k)));
+      budget.deploy(variant.weights_mb,
+                    variant.intermediate_mb *
+                        static_cast<double>(decision.kernel(i, j, k)));
     }
   }
-  return weights + peak;
+  return budget;
+}
+
+}  // namespace
+
+double decision_memory_mb(const device::ClusterSpec& cluster,
+                          const SlotDecision& decision, int k) {
+  return memory_charged(cluster, decision, k).memory_mb();
 }
 
 ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
@@ -119,8 +129,10 @@ ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
   //         fits. Model-switch costs are preserved: a deployment only
   //         disappears via memory eviction below. ----
   for (int k = 0; k < K; ++k) {
-    const double budget = cluster.network_mb(k);
-    while (decision_network_mb(cluster, decision, previous, k) > budget + 1e-9) {
+    EdgeBudget budget(cluster, k);
+    while (true) {
+      budget.network_mb = decision_network_mb(cluster, decision, previous, k);
+      if (budget.fits_network()) break;
       // Largest flow touching k.
       Flow* victim = nullptr;
       for (auto& flow : decision.flows) {
@@ -130,8 +142,7 @@ ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
       if (victim == nullptr) break;  // switch cost alone exceeds budget
       const double per_request =
           cluster.zoo().app(victim->app).request_mb;
-      const double over =
-          decision_network_mb(cluster, decision, previous, k) - budget;
+      const double over = budget.network_mb - budget.network_cap_mb;
       const auto cut = std::min(
           victim->count,
           std::max<std::int64_t>(
@@ -148,8 +159,7 @@ ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
   // ---- 4. Memory budgets: evict deployments (largest footprint first);
   //         their requests become drops at that edge. ----
   for (int k = 0; k < K; ++k) {
-    const double budget = cluster.memory_mb(k);
-    while (decision_memory_mb(cluster, decision, k) > budget + 1e-9) {
+    while (!memory_charged(cluster, decision, k).fits_memory()) {
       int worst_i = -1;
       int worst_j = -1;
       double worst_mb = 0.0;

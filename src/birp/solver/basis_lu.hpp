@@ -70,13 +70,9 @@ class BasisLu {
   }
 
   [[nodiscard]] int rows() const noexcept { return rows_; }
-  [[nodiscard]] int updates_since_factor() const noexcept {
-    return updates_since_factor_;
-  }
   [[nodiscard]] std::int64_t factor_pivots() const noexcept {
     return factor_pivots_;
   }
-  [[nodiscard]] std::size_t eta_count() const noexcept { return etas_.size(); }
 
  private:
   struct Eta {

@@ -12,11 +12,6 @@ void Ecdf::add(double sample) {
   sorted_ = false;
 }
 
-void Ecdf::add_all(std::span<const double> samples) {
-  samples_.insert(samples_.end(), samples.begin(), samples.end());
-  sorted_ = false;
-}
-
 void Ecdf::merge(const Ecdf& other) {
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
   sorted_ = false;

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,6 @@ namespace birp::util {
 class Ecdf {
  public:
   void add(double sample);
-  void add_all(std::span<const double> samples);
   void merge(const Ecdf& other);
 
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }

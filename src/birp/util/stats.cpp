@@ -99,13 +99,4 @@ LinearFit least_squares(std::span<const double> x, std::span<const double> y) {
   return fit;
 }
 
-double sse_against_constant(std::span<const double> y, double c) noexcept {
-  double sse = 0.0;
-  for (const double v : y) {
-    const double d = v - c;
-    sse += d * d;
-  }
-  return sse;
-}
-
 }  // namespace birp::util

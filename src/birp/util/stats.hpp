@@ -78,8 +78,4 @@ struct LinearFit {
 [[nodiscard]] LinearFit least_squares(std::span<const double> x,
                                       std::span<const double> y);
 
-/// Sum of squared residuals of y against a constant `c`.
-[[nodiscard]] double sse_against_constant(std::span<const double> y,
-                                          double c) noexcept;
-
 }  // namespace birp::util

@@ -122,8 +122,7 @@ TEST(Partition, RefinementNeverWorsensTheCut) {
   const auto config = small_topology_config(36, 2);
   const auto topology = workload::generate_topology(config);
   const auto cluster = workload::make_cluster(topology, config);
-  const auto affinity = build_affinity(cluster, &topology.link_mbps,
-                                       PartitionObjective::kBandwidth);
+  const auto affinity = build_affinity(cluster, &topology.link_mbps);
   PartitionConfig greedy_only;
   greedy_only.cells = 4;
   greedy_only.refine_passes = 0;
@@ -138,40 +137,19 @@ TEST(Partition, RefinementNeverWorsensTheCut) {
 
 TEST(Partition, CustomCostRecoversBlockStructure) {
   // Two 6-device blocks with affinity only inside a block: the partitioner
-  // must find the zero-cut split through the pluggable cost hook.
-  const auto config = small_topology_config(12, 2);
-  const auto topology = workload::generate_topology(config);
-  const auto cluster = workload::make_cluster(topology, config);
-  PartitionConfig pc;
-  pc.cells = 2;
-  pc.balance_tolerance = 0.0;
-  pc.custom_cost = [](int a, int b) {
-    return (a < 6) == (b < 6) ? 1.0 : 0.0;
-  };
-  const auto partition = partition_cluster(cluster, nullptr, pc);
-  expect_valid_partition(partition, 12, 2);
+  // must find the zero-cut split.
   util::Grid2<double> affinity(12, 12, 0.0);
   for (int a = 0; a < 12; ++a) {
     for (int b = 0; b < 12; ++b) {
       if (a != b && (a < 6) == (b < 6)) affinity(a, b) = 1.0;
     }
   }
+  PartitionConfig pc;
+  pc.cells = 2;
+  pc.balance_tolerance = 0.0;
+  const auto partition = partition_affinity(affinity, pc);
+  expect_valid_partition(partition, 12, 2);
   EXPECT_DOUBLE_EQ(cut_weight(partition, affinity), 0.0);
-}
-
-TEST(Partition, ObjectivesProduceValidPartitions) {
-  const auto config = small_topology_config(24, 2);
-  const auto topology = workload::generate_topology(config);
-  const auto cluster = workload::make_cluster(topology, config);
-  for (const auto objective :
-       {PartitionObjective::kBalanced, PartitionObjective::kBandwidth,
-        PartitionObjective::kAffinity}) {
-    PartitionConfig pc;
-    pc.cells = 3;
-    pc.objective = objective;
-    expect_valid_partition(
-        partition_cluster(cluster, &topology.link_mbps, pc), 24, 3);
-  }
 }
 
 TEST(Partition, SingleCellIsTheWholeCluster) {
@@ -247,16 +225,14 @@ TEST_F(BalancerFixture, RespectsNetworkBudgetFraction) {
   BalancerConfig bc;
   bc.pressure_margin = 0.0;
   bc.move_fraction = 1.0;
-  bc.network_fraction = 0.25;
   InterCellBalancer balancer(cluster_, bc, partition_.cells());
   const auto state = skewed_state(0, 100000);  // far above any budget
   const auto moves = balancer.plan(state, partition_);
-  // Per donor/recipient pair the moved request-MB must fit the fraction of
-  // the smaller endpoint budget.
+  // Per donor/recipient pair the moved request-MB must fit the smaller
+  // endpoint budget.
   for (const auto& move : moves) {
-    const double budget =
-        bc.network_fraction * std::min(cluster_.network_mb(move.from),
-                                       cluster_.network_mb(move.to));
+    const double budget = std::min(cluster_.network_mb(move.from),
+                                   cluster_.network_mb(move.to));
     double moved_mb = 0.0;
     for (const auto& other : moves) {
       if (other.from == move.from && other.to == move.to) {
@@ -549,10 +525,12 @@ TEST_F(ShardedFixture, MergedDecisionConservesSkewedDemandEndToEnd) {
 }
 
 /// Forwards to a CellScheduler and records, over every merged decision, the
-/// largest amount by which an edge exports more of an app than it demands.
+/// largest amount by which an edge exports more of an app than it demands,
+/// and the flow units validate_and_repair cancels on a copy of it.
 class ExportAuditor : public sim::Scheduler {
  public:
-  explicit ExportAuditor(CellScheduler& inner) : inner_(inner) {}
+  ExportAuditor(const device::ClusterSpec& cluster, CellScheduler& inner)
+      : cluster_(cluster), inner_(inner) {}
   [[nodiscard]] std::string name() const override { return inner_.name(); }
   [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override {
     auto decision = inner_.decide(state);
@@ -562,23 +540,32 @@ class ExportAuditor : public sim::Scheduler {
                                  decision.exports(i, k) - state.demand(i, k));
       }
     }
+    auto copy = decision;
+    cancelled_flow_ +=
+        sim::validate_and_repair(cluster_, state.demand, state.previous, copy)
+            .cancelled_flow;
     return decision;
   }
   void observe(const sim::SlotFeedback& feedback) override {
     inner_.observe(feedback);
   }
   [[nodiscard]] std::int64_t worst_excess() const { return worst_excess_; }
+  [[nodiscard]] std::int64_t cancelled_flow() const { return cancelled_flow_; }
 
  private:
+  const device::ClusterSpec& cluster_;
   CellScheduler& inner_;
   std::int64_t worst_excess_ = 0;
+  std::int64_t cancelled_flow_ = 0;
 };
 
 TEST(CellSchedulerMerge, BalancedRunNeverExportsMoreThanLocalDemand) {
   // A balancer move raises its recipient's demand, and the recipient cell's
   // MILP may pass that demand on inside the cell. The merge must route such
   // two-hop exports from the donor: validate_and_repair cancels every export
-  // above an edge's own demand, which turns the requests into drops.
+  // above an edge's own demand, which turns the requests into drops. The
+  // cells plan within the network budget the moves leave, so the validator
+  // cancels no flow for the network budget either.
   const auto config = small_topology_config(32, 4);
   const auto topology = workload::generate_topology(config);
   const auto cluster = workload::make_cluster(topology, config);
@@ -591,12 +578,13 @@ TEST(CellSchedulerMerge, BalancedRunNeverExportsMoreThanLocalDemand) {
   gc.seed = 11;
   gc.mean_per_edge = workload::suggested_mean_per_edge(cluster, 0.7);
   const auto trace = workload::generate(cluster, gc);
-  ExportAuditor auditor(scheduler);
+  ExportAuditor auditor(cluster, scheduler);
   sim::SimulatorConfig sc;
   sc.threads = 1;
   (void)sim::Simulator(cluster, trace, sc).run(auditor);
   EXPECT_GT(scheduler.balancer().moved_total(), 0);
   EXPECT_EQ(auditor.worst_excess(), 0);
+  EXPECT_EQ(auditor.cancelled_flow(), 0);
 }
 
 TEST_F(ShardedFixture, ReportsAggregateFallbacksAndName) {

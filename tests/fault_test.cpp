@@ -137,28 +137,6 @@ TEST(FaultPlan, CsvRoundTrips) {
   EXPECT_EQ(FaultPlan::from_csv(no_trailing), plan);
 }
 
-TEST(FaultPlan, GenerateIsDeterministic) {
-  FaultPlanOptions options;
-  options.slots = 400;
-  options.devices = 5;
-  options.crash_rate = 0.01;
-  options.degrade_rate = 0.01;
-  options.straggler_rate = 0.01;
-  const auto a = FaultPlan::generate(options);
-  const auto b = FaultPlan::generate(options);
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.empty());
-
-  options.seed ^= 0x1234;
-  const auto c = FaultPlan::generate(options);
-  EXPECT_NE(c, a);
-
-  FaultPlanOptions quiet;
-  quiet.slots = 400;
-  quiet.devices = 5;
-  EXPECT_TRUE(FaultPlan::generate(quiet).empty());  // all rates zero
-}
-
 TEST(FaultPlan, CanonicalScenarios) {
   const auto crash = FaultPlan::single_edge_crash(1, 10, 20);
   EXPECT_EQ(crash.down_slots(1, 100), 10);

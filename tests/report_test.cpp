@@ -1,15 +1,10 @@
-// Tests for the CSV experiment exporters and the GREEDY-LOCAL baseline.
+// Tests for the CSV experiment exporters.
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "birp/device/cluster.hpp"
 #include "birp/metrics/report_csv.hpp"
-#include "birp/core/birp_scheduler.hpp"
-#include "birp/sched/greedy_local.hpp"
-#include "birp/sim/simulator.hpp"
 #include "birp/util/csv.hpp"
-#include "birp/workload/generator.hpp"
 
 namespace birp {
 namespace {
@@ -81,57 +76,6 @@ TEST(ReportCsv, MismatchedHorizonsRejected) {
 TEST(ReportCsv, EmptyRunListRejected) {
   std::ostringstream out;
   EXPECT_THROW(metrics::write_summary_csv(out, {}), std::logic_error);
-}
-
-TEST(GreedyLocal, ServesLocallySeriallyWithoutFlows) {
-  const auto cluster = device::ClusterSpec::paper_small();
-  workload::GeneratorConfig config;
-  config.slots = 5;
-  config.mean_per_edge = workload::suggested_mean_per_edge(cluster, 0.4);
-  const auto trace = workload::generate(cluster, config);
-  sched::GreedyLocalScheduler scheduler(cluster);
-  sim::Simulator simulator(cluster, trace);
-  for (int t = 0; t < 5; ++t) {
-    const auto result = simulator.step(scheduler);
-    EXPECT_TRUE(result.decision.flows.empty());
-    for (int i = 0; i < cluster.num_apps(); ++i) {
-      for (int j = 0; j < cluster.zoo().num_variants(i); ++j) {
-        for (int k = 0; k < cluster.num_devices(); ++k) {
-          if (result.decision.served(i, j, k) > 0) {
-            EXPECT_EQ(result.decision.kernel(i, j, k), 1);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(GreedyLocal, PrefersAccurateModelsWhenComputeAllows) {
-  const auto cluster = device::ClusterSpec::paper_small();
-  workload::Trace trace(1, 1, cluster.num_devices());
-  trace.set(0, 0, 0, 2);  // trivially light
-  sched::GreedyLocalScheduler scheduler(cluster);
-  sim::Simulator simulator(cluster, trace);
-  const auto result = simulator.step(scheduler);
-  const int best = cluster.zoo().num_variants(0) - 1;
-  EXPECT_EQ(result.decision.served(0, best, 0), 2);
-}
-
-TEST(GreedyLocal, NeverBeatsBirpOnLossUnderLoad) {
-  // The section 5.2 justification for omitting simple baselines.
-  const auto cluster = device::ClusterSpec::paper_small();
-  workload::GeneratorConfig config;
-  config.slots = 20;
-  config.mean_per_edge = workload::suggested_mean_per_edge(cluster, 0.7);
-  const auto trace = workload::generate(cluster, config);
-
-  sched::GreedyLocalScheduler greedy(cluster);
-  auto birp = core::BirpScheduler::offline(cluster);
-  sim::Simulator sim_a(cluster, trace);
-  sim::Simulator sim_b(cluster, trace);
-  const auto m_greedy = sim_a.run(greedy);
-  const auto m_birp = sim_b.run(birp);
-  EXPECT_LE(m_birp.total_loss(), m_greedy.total_loss() * 1.02);
 }
 
 }  // namespace

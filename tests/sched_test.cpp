@@ -52,7 +52,9 @@ TEST(Oaei, DecisionsPassValidationCleanly) {
   for (int t = 0; t < 8; ++t) {
     clean += simulator.step(scheduler).repairs.clean() ? 1 : 0;
   }
-  EXPECT_GE(clean, 7);  // randomized rounding may rarely need a trim
+  // extract_decision rounds the LP's fractional exports and imports, which
+  // may overshoot a network row by a few requests.
+  EXPECT_GE(clean, 7);
 }
 
 TEST(Oaei, CapacityFactorStartsAtOneAndStaysBounded) {
@@ -107,12 +109,17 @@ TEST(Max, AlwaysUsesFixedKernel) {
 }
 
 TEST(Max, RespectsBudgetsByConstruction) {
-  const auto cluster = device::ClusterSpec::paper_small();
-  const auto trace = make_trace(cluster, 6, 0.6);
-  MaxScheduler scheduler(cluster);
-  sim::Simulator simulator(cluster, trace);
-  for (int t = 0; t < 6; ++t) {
-    EXPECT_TRUE(simulator.step(scheduler).repairs.clean()) << "slot " << t;
+  // paper_large adds the multi-app memory and model-switch contention that
+  // the one-app paper_small never reaches.
+  for (const auto& cluster : {device::ClusterSpec::paper_small(),
+                              device::ClusterSpec::paper_large()}) {
+    const auto trace = make_trace(cluster, 6, 0.6);
+    MaxScheduler scheduler(cluster);
+    sim::Simulator simulator(cluster, trace);
+    for (int t = 0; t < 6; ++t) {
+      EXPECT_TRUE(simulator.step(scheduler).repairs.clean())
+          << cluster.num_apps() << " apps, slot " << t;
+    }
   }
 }
 
